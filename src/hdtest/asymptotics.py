@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .kernels import KernelSpec, phi, phi_prime
-from .permutation import PermutationPlan, exact_masks, sample_masks, s_w_cardinality
+from .permutation import PermutationPlan, decide, plan_masks
 from .statistic import masked_statistics
 
 
@@ -209,29 +209,13 @@ def power_limit_mc(
     if draws < 1000:
         raise ValueError("need at least 1000 draws")
     n, m = gp.n, gp.m
-    if plan.mode == "exact":
-        masks, mult = exact_masks(n, m)
-        total = math.factorial(n + m)
-    else:
-        masks, mult = sample_masks(n, m, plan.count, plan.seed), 1
-        total = plan.count
-    need = total - math.floor(alpha * total)
-
+    masks, mult = plan_masks(plan, n, m)
     rng = np.random.default_rng(seed)
-    identity = np.zeros(n + m, dtype=bool)
-    identity[:n] = True
-    id_row = int(np.flatnonzero((masks == identity).all(axis=1))[0])
-
     rejections = 0
     for _ in range(draws):
         g = _gaussian_pair_matrix(gp, rng)
-        stats = masked_statistics(g, n, m, masks)
-        order = np.argsort(stats, kind="stable")
-        cum = np.arange(1, stats.size + 1) * mult
-        idx = int(np.searchsorted(cum, need, side="left"))
-        crit = stats[order][idx]
-        if stats[id_row] > crit:
-            rejections += 1
+        _, reject = decide(masked_statistics(g, n, m, masks), alpha, mult)
+        rejections += bool(reject)
     rate = rejections / draws
     se = math.sqrt(rate * (1.0 - rate) / draws)
     return rate, se

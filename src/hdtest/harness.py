@@ -1,24 +1,30 @@
 """Monte Carlo size/power studies and real-data subsampling studies.
 
-Every replication derives its RNG seeds deterministically from the master
-seed plus its (grid index, replication index) coordinates, so results are
-byte-identical regardless of how many workers execute them.
+One grid runner serves both: a grid point is a picklable sampler (scenario
+generation or class subsampling), and every (grid point, chunk) task of a
+study goes through one process pool. Every replication derives its RNG
+seeds deterministically from the master seed plus its (grid index,
+replication index) coordinates, so results are byte-identical regardless
+of how many workers execute them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .datagen import ScenarioConfig, generate
 from .kernels import FAMILIES, KernelSpec
-from .permutation import sample_masks
+from .permutation import PermutationPlan, decide, plan_masks
 from .statistic import (
     LabeledSample,
     kernel_matrix_from_psibar,
@@ -127,16 +133,16 @@ def multi_kernel_rejections(
         pb[True] = psibar_matrix(sample.data, squared=True)
     if any(not k.uses_squared_differences for k in kernels):
         pb[False] = psibar_matrix(sample.data, squared=False)
-    masks = sample_masks(n, m, permutations, seed)
-    rejected = {}
-    for spec in kernels:
-        km = kernel_matrix_from_psibar(pb[spec.uses_squared_differences], spec, n, m)
-        stats = masked_statistics(km.values, n, m, masks)
-        observed = stats[0]
-        srt = np.sort(stats, kind="stable")
-        idx = permutations - math.floor(alpha * permutations) - 1
-        rejected[spec.family] = bool(observed > srt[idx])
-    return rejected
+    masks, _ = plan_masks(PermutationPlan(count=permutations, seed=seed), n, m)
+    stats = [
+        masked_statistics(
+            kernel_matrix_from_psibar(pb[spec.uses_squared_differences], spec, n, m).values,
+            n, m, masks,
+        )
+        for spec in kernels
+    ]
+    _, reject = decide(np.stack(stats), alpha)
+    return {spec.family: bool(r) for spec, r in zip(kernels, reject)}
 
 
 def _replication_seeds(master: int, grid: int, rep: int) -> tuple[int, int]:
@@ -146,16 +152,51 @@ def _replication_seeds(master: int, grid: int, rep: int) -> tuple[int, int]:
     return int(data_seed), int(perm_seed)
 
 
-def _power_cell(args):
-    cfg, grid_idx, rep_range, kernels, alpha, permutations, master = args
-    counts = {spec.family: 0 for spec in kernels}
+def _count_rejections(args):
+    """Rejections per kernel family over one chunk of one grid point."""
+    sampler, grid_idx, rep_range, kernels, alpha, permutations, master = args
+    counts = Counter()
     for rep in rep_range:
         data_seed, perm_seed = _replication_seeds(master, grid_idx, rep)
-        sample = generate(replace(cfg, seed=data_seed))
-        rej = multi_kernel_rejections(sample, kernels, alpha, permutations, perm_seed)
-        for fam, flag in rej.items():
-            counts[fam] += flag
-    return grid_idx, counts
+        counts.update(
+            multi_kernel_rejections(sampler(data_seed), kernels, alpha, permutations, perm_seed)
+        )
+    return counts
+
+
+def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) -> PowerTable:
+    """Rejection rate per (grid point, kernel) for ``points``, a list of
+    (label, sampler) pairs where ``sampler(data_seed)`` returns one dataset.
+
+    Each point's replications are split into the same chunks for any
+    ``jobs``; all chunks of all points share one pool. A point's wall time
+    runs from the previous point's last result to its own.
+    """
+    chunks = _chunk_ranges(replications, jobs)
+    tasks = [
+        (sampler, grid_idx, chunk, kernels, alpha, permutations, master)
+        for grid_idx, (_, sampler) in enumerate(points)
+        for chunk in chunks
+    ]
+    table = PowerTable()
+    start = time.perf_counter()
+    parallel = jobs > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext() as pool:
+        results = (pool.map if parallel else map)(_count_rejections, tasks)
+        for label, _ in points:
+            counts = Counter()
+            for _ in chunks:
+                counts.update(next(results))
+            now = time.perf_counter()
+            for spec in kernels:
+                table.add(label, spec.family, counts[spec.family] / replications,
+                          replications, now - start)
+            start = now
+    return table
+
+
+def _scenario_sample(cfg: ScenarioConfig, data_seed: int) -> LabeledSample:
+    return generate(replace(cfg, seed=data_seed))
 
 
 def _scenario_label(cfg: ScenarioConfig) -> str:
@@ -172,28 +213,9 @@ def default_jobs() -> int:
 
 def run_power_study(cfg: StudyConfig, jobs: int = 1) -> PowerTable:
     """Rejection rate per (scenario, kernel) over seeded replications."""
-    table = PowerTable()
-    for grid_idx, scen in enumerate(cfg.scenarios):
-        start = time.perf_counter()
-        counts = {spec.family: 0 for spec in cfg.kernels}
-        tasks = [
-            (scen, grid_idx, chunk, cfg.kernels, cfg.alpha, cfg.permutations, cfg.seed)
-            for chunk in _chunk_ranges(cfg.replications, jobs)
-        ]
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_power_cell, tasks))
-        else:
-            results = [_power_cell(t) for t in tasks]
-        for _, chunk_counts in results:
-            for fam, cnt in chunk_counts.items():
-                counts[fam] += cnt
-        wall = time.perf_counter() - start
-        label = _scenario_label(scen)
-        for spec in cfg.kernels:
-            table.add(label, spec.family, counts[spec.family] / cfg.replications,
-                      cfg.replications, wall)
-    return table
+    points = [(_scenario_label(scen), partial(_scenario_sample, scen)) for scen in cfg.scenarios]
+    return _run_grid(points, cfg.kernels, cfg.alpha, cfg.replications, cfg.permutations,
+                     cfg.seed, jobs)
 
 
 def _chunk_ranges(total: int, jobs: int):
@@ -222,51 +244,31 @@ def run_realdata_study(
     if labels is None:
         labels = (keys[0], keys[1])
     a, b = dataset.classes[labels[0]], dataset.classes[labels[1]]
-    table = PowerTable()
-    for grid_idx, n in enumerate(sizes):
-        if n > a.shape[0] or n > b.shape[0]:
-            raise ValueError(f"requested n={n} exceeds a class size")
-        start = time.perf_counter()
-        tasks = [
-            ((a, b, labels, n), grid_idx, chunk, kernels, alpha, permutations, seed)
-            for chunk in _chunk_ranges(replications, jobs)
-        ]
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_realdata_cell, tasks))
-        else:
-            results = [_realdata_cell(t) for t in tasks]
-        counts = {spec.family: 0 for spec in kernels}
-        for _, chunk_counts in results:
-            for fam, cnt in chunk_counts.items():
-                counts[fam] += cnt
-        wall = time.perf_counter() - start
-        label = f"realdata:{labels[0]}-vs-{labels[1]}:n={n}"
-        for spec in kernels:
-            table.add(label, spec.family, counts[spec.family] / replications,
-                      replications, wall)
-    return table
-
-
-def _realdata_cell(args):
-    (a, b, labels, n), grid_idx, rep_range, kernels, alpha, permutations, master = args
     same_class = labels[0] == labels[1]
-    counts = {spec.family: 0 for spec in kernels}
-    for rep in rep_range:
-        data_seed, perm_seed = _replication_seeds(master, grid_idx, rep)
-        rng = np.random.default_rng(data_seed)
-        if same_class:
-            # disjoint subsamples from one class keep the null exact
-            idx = rng.choice(a.shape[0], size=2 * n, replace=False)
-            xa, xb = a[idx[:n]], a[idx[n:]]
-        else:
-            xa = a[rng.choice(a.shape[0], size=n, replace=False)]
-            xb = b[rng.choice(b.shape[0], size=n, replace=False)]
-        sample = LabeledSample(np.vstack([xa, xb]), n, n)
-        rej = multi_kernel_rejections(sample, kernels, alpha, permutations, perm_seed)
-        for fam, flag in rej.items():
-            counts[fam] += flag
-    return grid_idx, counts
+    # a same-class control draws 2n disjoint rows of one class
+    most = min(a.shape[0], b.shape[0]) // (2 if same_class else 1)
+    sizes = list(sizes)
+    for n in sizes:  # all checked before any replication runs
+        if not 2 <= n <= most:
+            why = "is below 2" if n < 2 else "exceeds a class size"
+            raise ValueError(f"requested n={n} {why}; these classes allow n in 2..{most}")
+    points = [
+        (f"realdata:{labels[0]}-vs-{labels[1]}:n={n}", partial(_subsample, a, b, n, same_class))
+        for n in sizes
+    ]
+    return _run_grid(points, kernels, alpha, replications, permutations, seed, jobs)
+
+
+def _subsample(a, b, n: int, same_class: bool, data_seed: int) -> LabeledSample:
+    rng = np.random.default_rng(data_seed)
+    if same_class:
+        # disjoint subsamples from one class keep the null exact
+        idx = rng.choice(a.shape[0], size=2 * n, replace=False)
+        xa, xb = a[idx[:n]], a[idx[n:]]
+    else:
+        xa = a[rng.choice(a.shape[0], size=n, replace=False)]
+        xb = b[rng.choice(b.shape[0], size=n, replace=False)]
+    return LabeledSample(np.vstack([xa, xb]), n, n)
 
 
 def load_delimited(path, fmt: str = "ucr-tsv") -> RealDataset:

@@ -3,8 +3,10 @@
 Two modes are supported. Exact enumeration walks every permutation of the
 pooled rows (feasible because the statistic only depends on which positions
 receive an X label, so there are only C(n+m, n) distinct values, each shared
-by n!*m! permutations). Monte Carlo draws S-1 uniform permutations and
-prepends the identity, which keeps the reported p-value valid and >= 1/S.
+by n!*m! permutations). Monte Carlo draws S-1 uniform permutations after the
+identity. :func:`plan_masks` puts the identity in row 0 in both modes, so
+the observed statistic is its own entry of the distribution and the p-value
+is valid and >= 1/S; :func:`decide` is the one quantile/reject rule.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .kernels import KernelSpec
 from .statistic import (
     KernelMatrix,
     LabeledSample,
+    _check_perm,
     build_kernel_matrix,
     masked_statistics,
 )
@@ -77,9 +80,7 @@ class TestResult:
 def n_of_gamma(perm, n: int, m: int) -> int:
     """Number of first-block positions that a permutation sends into the
     second block."""
-    perm = np.asarray(perm, dtype=np.intp)
-    if perm.shape != (n + m,) or not np.array_equal(np.sort(perm), np.arange(n + m)):
-        raise ValueError(f"perm must be a permutation of 0..{n + m - 1}")
+    perm = _check_perm(perm, n + m)
     return int(np.count_nonzero(perm[:n] >= n))
 
 
@@ -114,57 +115,65 @@ def sample_masks(n: int, m: int, count: int, seed: int) -> np.ndarray:
     return masks
 
 
+def plan_masks(plan: PermutationPlan, n: int, m: int) -> tuple[np.ndarray, int]:
+    """The group-X masks a plan evaluates, identity in row 0, and the number
+    of permutations each mask stands for."""
+    if plan.mode == "monte-carlo":
+        return sample_masks(n, m, plan.count, plan.seed), 1
+    if math.factorial(n + m) > plan.exact_cap:
+        raise ValueError(
+            f"exact enumeration needs (n+m)! <= {plan.exact_cap}; "
+            "use monte-carlo mode instead"
+        )
+    return exact_masks(n, m)
+
+
+def decide(stats: np.ndarray, alpha: float, multiplicity: int = 1):
+    """The (1-alpha) randomization quantile along the last axis of ``stats``
+    and whether the observed statistic, column 0, strictly exceeds it.
+
+    Each column stands for ``multiplicity`` permutations, T of them in all;
+    the quantile is the smallest value whose cumulative count reaches
+    ceil((1-alpha) T) = T - floor(alpha T). Returns (critical, reject),
+    each with the shape of ``stats`` minus its last axis.
+    """
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    total = stats.shape[-1] * multiplicity
+    need = total - math.floor(alpha * total)
+    rank = -(-need // multiplicity) - 1
+    crit = np.partition(stats, rank, axis=-1)[..., rank]
+    return crit, stats[..., 0] > crit
+
+
 def randomization_distribution(
     km: KernelMatrix, plan: PermutationPlan
 ) -> RandomizationDistribution:
-    n, m = km.n, km.m
-    if plan.mode == "exact":
-        if math.factorial(n + m) > plan.exact_cap:
-            raise ValueError(
-                f"exact enumeration needs (n+m)! <= {plan.exact_cap}; "
-                "use monte-carlo mode instead"
-            )
-        masks, mult = exact_masks(n, m)
-        stats = masked_statistics(km.values, n, m, masks)
-        order = np.argsort(stats, kind="stable")
-        return RandomizationDistribution(
-            values=stats[order],
-            counts=np.full(stats.size, mult, dtype=np.int64),
-            total=math.factorial(n + m),
-            provenance="exact",
-        )
-    masks = sample_masks(n, m, plan.count, plan.seed)
-    stats = masked_statistics(km.values, n, m, masks)
-    stats.sort(kind="stable")
+    masks, mult = plan_masks(plan, km.n, km.m)
+    stats = np.sort(masked_statistics(km.values, km.n, km.m, masks), kind="stable")
     return RandomizationDistribution(
         values=stats,
-        counts=np.ones(stats.size, dtype=np.int64),
-        total=plan.count,
-        provenance=f"monte-carlo(seed={plan.seed})",
+        counts=np.full(stats.size, mult, dtype=np.int64),
+        total=stats.size * mult,
+        provenance="exact" if plan.mode == "exact" else f"monte-carlo(seed={plan.seed})",
     )
 
 
 def critical_value(dist: RandomizationDistribution, alpha: float) -> float:
-    """Smallest stored value t with cdf(t) >= 1 - alpha."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    if dist.values.size == 0:
-        raise ValueError("empty randomization distribution")
-    need = dist.total - math.floor(alpha * dist.total)  # ceil((1-alpha)*total)
-    cum = np.cumsum(dist.counts)
-    idx = int(np.searchsorted(cum, need, side="left"))
-    return float(dist.values[idx])
+    """Smallest stored value t with cdf(t) >= 1 - alpha; every value must
+    stand for the same number of permutations, as in
+    :func:`randomization_distribution`."""
+    mult = np.unique(dist.counts)
+    if mult.size != 1:
+        raise ValueError("need a nonempty distribution whose values share one multiplicity")
+    return float(decide(dist.values, alpha, int(mult[0]))[0])
 
 
-def _w_histogram_exact(n: int, m: int) -> dict:
-    return {w: s_w_cardinality(n, m, w) for w in range(min(n, m) + 1)}
-
-
-def _w_histogram_masks(masks: np.ndarray, n: int) -> dict:
+def _w_histogram(masks: np.ndarray, n: int, multiplicity: int) -> dict:
     # w = number of first-block positions not keeping an X label
     w_vals = n - masks[:, :n].sum(axis=1)
     uniq, cnt = np.unique(w_vals, return_counts=True)
-    return {int(w): int(c) for w, c in zip(uniq, cnt)}
+    return {int(w): int(c) * multiplicity for w, c in zip(uniq, cnt)}
 
 
 def permutation_test(
@@ -178,27 +187,18 @@ def permutation_test(
     if plan is None:
         plan = PermutationPlan()
     km = build_kernel_matrix(sample, spec)
-    # evaluate the observed (identity) statistic through the same weighted
-    # summation used for the permuted values; a last-ulp mismatch between
-    # two summation orders would otherwise break ties at the critical value
-    identity = np.zeros(km.n + km.m, dtype=bool)
-    identity[: km.n] = True
-    stat = float(masked_statistics(km.values, km.n, km.m, identity[None, :])[0])
-    dist = randomization_distribution(km, plan)
-    crit = critical_value(dist, alpha)
-    if plan.mode == "exact":
-        hist = _w_histogram_exact(km.n, km.m)
-    else:
-        hist = _w_histogram_masks(sample_masks(km.n, km.m, plan.count, plan.seed), km.n)
-    # the identity permutation is part of the distribution, so the p-value
-    # can never fall below 1/total
-    p_value = max(dist.tail_count(stat), 1) / dist.total
+    masks, mult = plan_masks(plan, km.n, km.m)
+    stats = masked_statistics(km.values, km.n, km.m, masks)
+    crit, reject = decide(stats, alpha, mult)
+    # the observed statistic is the identity's own entry, so it counts in
+    # its own tail and the p-value can never fall below 1/S
+    p_value = np.count_nonzero(stats >= stats[0]) / stats.size
     return TestResult(
-        statistic=stat,
-        critical_value=crit,
+        statistic=float(stats[0]),
+        critical_value=float(crit),
         p_value=p_value,
-        reject=stat > crit,
+        reject=bool(reject),
         alpha=alpha,
         plan=plan,
-        w_histogram=hist,
+        w_histogram=_w_histogram(masks, km.n, mult),
     )

@@ -258,6 +258,12 @@ class TestPowerLimitMC:
         with pytest.raises(ValueError):
             power_limit_mc(gp, 0.05, PermutationPlan(mode="exact"), 100)
 
+    def test_exact_cap_enforced(self):
+        # 6! = 720 permutations exceed a cap of 100, as in permutation_test
+        gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="exact enumeration"):
+            power_limit_mc(gp, 0.05, PermutationPlan(mode="exact", exact_cap=100), 1000)
+
     def test_self_consistency_disjoint_seeds(self):
         gp = GaussianProcessSpec(3, 3, 4.0, 1.0, 1.0)
         plan = PermutationPlan(mode="exact")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdtest import harness
 from hdtest.datagen import ScenarioConfig
 from hdtest.harness import (
     PowerTable,
@@ -146,6 +147,23 @@ class TestRunRealdataStudy:
     def test_oversized_request_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             run_realdata_study(self._dataset(), [100], replications=2, permutations=40)
+
+    def test_bad_sizes_rejected_before_any_replication(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran before the sizes were checked")
+
+        monkeypatch.setattr(harness, "multi_kernel_rejections", no_work)
+        ds = self._dataset()  # 60 rows per class
+        for sizes, labels, what in (
+            ([10, 1], None, "n=1"),
+            ([10, 61], None, "n=61"),
+            ([10, 31], ("a", "a"), "n=31"),
+        ):
+            with pytest.raises(ValueError, match=what):
+                run_realdata_study(ds, sizes, replications=2, permutations=40, labels=labels)
+        # 2n = 60 rows is exactly one class, which a same-class control may use
+        with pytest.raises(AssertionError, match="replication ran"):
+            run_realdata_study(ds, [30], replications=2, permutations=40, labels=("a", "a"))
 
     def test_deterministic_across_jobs(self):
         ds = self._dataset()

@@ -4,7 +4,7 @@ from itertools import permutations as iter_permutations
 import numpy as np
 import pytest
 
-from hdtest.kernels import KernelSpec
+from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.permutation import (
     PermutationPlan,
     RandomizationDistribution,
@@ -12,6 +12,7 @@ from hdtest.permutation import (
     exact_masks,
     n_of_gamma,
     permutation_test,
+    plan_masks,
     randomization_distribution,
     s_w_cardinality,
     sample_masks,
@@ -80,6 +81,14 @@ class TestMasks:
         assert masks[0, :3].all() and not masks[0, 3:].any()
         assert masks.shape == (10, 7)
         assert (masks.sum(axis=1) == 3).all()
+
+    def test_plan_masks_put_identity_in_row_zero(self):
+        identity = np.arange(7) < 3
+        for plan in (PermutationPlan(count=12, seed=4), PermutationPlan(mode="exact")):
+            masks, mult = plan_masks(plan, 3, 4)
+            np.testing.assert_array_equal(masks[0], identity)
+            exact = plan.mode == "exact"
+            assert mult == (math.factorial(3) * math.factorial(4) if exact else 1)
 
     def test_sampled_masks_deterministic(self):
         a = sample_masks(4, 4, 25, seed=9)
@@ -216,3 +225,29 @@ class TestPermutationTest:
         s = LabeledSample(np.arange(12.0).reshape(6, 2), 3, 3)
         res = permutation_test(s, KernelSpec("l1"), plan=PermutationPlan(count=80, seed=2))
         assert sum(res.w_histogram.values()) == 80
+
+
+class TestObservedIsIdentityEntry:
+    def test_statistic_and_p_value_come_from_the_distribution(self):
+        # small groups, ties and large offsets, where a separately evaluated
+        # observed statistic can miss its own identity entry by an ulp
+        rng = np.random.default_rng(2024)
+        for case in range(60):
+            n, m = (int(v) for v in rng.integers(2, 9, size=2))
+            data = rng.standard_normal((n + m, int(rng.integers(1, 6))))
+            if case % 3 == 1:
+                data = np.round(data)
+            elif case % 3 == 2:
+                data = data + 1e8
+            s = LabeledSample(data, n, m)
+            spec = KernelSpec(FAMILIES[case % 4])
+            plans = [PermutationPlan(count=int(rng.integers(20, 201)), seed=case)]
+            if n + m <= 10:
+                plans.append(PermutationPlan(mode="exact"))
+            for plan in plans:
+                res = permutation_test(s, spec, plan=plan)
+                values = randomization_distribution(build_kernel_matrix(s, spec), plan).values
+                assert res.statistic in values, (case, plan.mode)
+                tail = np.count_nonzero(values >= res.statistic)
+                assert res.p_value * values.size == pytest.approx(tail), (case, plan.mode)
+                assert res.reject == (res.statistic > res.critical_value)
