@@ -9,6 +9,7 @@ binary vectors whose low-order margins match but whose joint law differs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,6 @@ import numpy as np
 from .statistic import LabeledSample
 
 EXAMPLES = ("1", "2i", "2ii", "2iii", "3i", "3ii", "4i", "4ii")
-
-# square roots are the setup bottleneck at large p; keyed by the scenario
-# fields they depend on, not the replication seed
-_SQRT_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -69,24 +66,22 @@ def spd_sqrt(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _v_half_diag(cfg: ScenarioConfig) -> np.ndarray:
+def _v_half_diag(cfg: ScenarioConfig) -> tuple:
     if cfg.v_diag == "ones":
-        return np.ones(cfg.p)
+        return (1.0,) * cfg.p
     rng = np.random.default_rng(cfg.v_seed)
-    return rng.uniform(1.0, 5.0, size=cfg.p)
+    return tuple(rng.uniform(1.0, 5.0, size=cfg.p))
 
 
-def _base_sqrt(cfg: ScenarioConfig, v_half: np.ndarray | None = None, cache_tag=None):
-    """(V^{1/2} R V^{1/2})^{1/2}, cached per scenario shape."""
-    if v_half is None:
-        v_half = _v_half_diag(cfg)
-        cache_tag = (cfg.p, cfg.rho, cfg.v_diag, cfg.v_seed)
-    if cache_tag is not None and cache_tag in _SQRT_CACHE:
-        return _SQRT_CACHE[cache_tag]
-    r = ar_correlation(cfg.p, cfg.rho)
-    root = spd_sqrt(v_half[:, None] * r * v_half[None, :])
-    if cache_tag is not None:
-        _SQRT_CACHE[cache_tag] = root
+# square roots are the setup bottleneck at large p; keyed by what they
+# depend on, not the replication seed, and bounded because each is p x p
+@functools.lru_cache(maxsize=8)
+def _base_sqrt(p: int, rho: float, v_half: tuple) -> np.ndarray:
+    """(V^{1/2} R V^{1/2})^{1/2} with V^{1/2} = diag(v_half); read-only, as
+    every caller shares it."""
+    v = np.array(v_half)
+    root = spd_sqrt(v[:, None] * ar_correlation(p, rho) * v[None, :])
+    root.flags.writeable = False
     return root
 
 
@@ -101,7 +96,7 @@ def gen_example1(cfg: ScenarioConfig) -> LabeledSample:
     if cfg.example != "1":
         raise ValueError(f"config is for example {cfg.example!r}")
     rng = np.random.default_rng(cfg.seed)
-    a = _base_sqrt(cfg)
+    a = _base_sqrt(cfg.p, cfg.rho, _v_half_diag(cfg))
     z = _innovations(rng, cfg.n + cfg.m, cfg.p, cfg.innovation)
     return LabeledSample(z @ a, cfg.n, cfg.m)
 
@@ -113,7 +108,7 @@ def gen_example2(cfg: ScenarioConfig) -> LabeledSample:
         raise ValueError(f"config is for example {cfg.example!r}")
     rng = np.random.default_rng(cfg.seed)
     k = int(np.floor(cfg.beta * cfg.p))
-    a_x = _base_sqrt(cfg)
+    a_x = _base_sqrt(cfg.p, cfg.rho, _v_half_diag(cfg))
 
     shift = np.zeros(cfg.p)
     if cfg.example == "2i":
@@ -122,9 +117,8 @@ def gen_example2(cfg: ScenarioConfig) -> LabeledSample:
     else:
         if cfg.example == "2iii":
             shift[:k] = 0.1
-        star_half = np.ones(cfg.p)
-        star_half[:k] = 1.05 if cfg.example == "2ii" else 1.04
-        a_y = _base_sqrt(cfg, v_half=star_half, cache_tag=(cfg.p, cfg.rho, cfg.example, k))
+        scale = 1.05 if cfg.example == "2ii" else 1.04
+        a_y = _base_sqrt(cfg.p, cfg.rho, (scale,) * k + (1.0,) * (cfg.p - k))
 
     zx = _innovations(rng, cfg.n, cfg.p, cfg.innovation)
     zy = _innovations(rng, cfg.m, cfg.p, cfg.innovation)

@@ -6,9 +6,11 @@ determine which power regime the permutation test falls into. The regime
 hint is advisory: the defining conditions are asymptotic rates that a
 single dataset cannot certify.
 
-The marginal energy-distance sum is computed as the pooled l1 statistic,
-the observed grouping and its relabellings as rows of one
-:func:`statistic.masked_statistics` call.
+A report evaluates one batch of group masks, the observed grouping in row
+0, through :func:`statistic.masked_pair_sums` over the squared distances
+(mean and variance gaps) and the l1 distances (marginal energy-distance
+sum); the double-centred blocks of the squared distances are Gram blocks of
+the centred rows and give the covariance gap. No array is p x p.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec
-from .statistic import LabeledSample, masked_statistics, psibar_matrix
+from .statistic import LabeledSample, masked_pair_sums, masked_statistics, psibar_matrix
 
 
 @dataclass(frozen=True)
@@ -39,28 +41,34 @@ def mean_variance_gaps(sample: LabeledSample) -> tuple[float, float]:
     return mg, vg
 
 
-def _l1_statistics(sample: LabeledSample, perms) -> np.ndarray:
-    """The l1 statistic after each relabelling in ``perms``, one row per
-    relabelling whose first n entries name the rows that form group X."""
-    masks = np.argsort(perms, axis=1) < sample.n
-    # phi is the identity for l1, so the averaged distances are the kernel
-    pb = psibar_matrix(sample.data, squared=False)
-    return masked_statistics(pb, sample.n, sample.m, masks)
-
-
 def marginal_energy_sum(sample: LabeledSample) -> float:
     """Average over coordinates of the univariate energy-distance
     U-statistic; algebraically identical to, and computed as, the pooled
     statistic with the l1 kernel."""
-    return float(_l1_statistics(sample, [np.arange(sample.n + sample.m)])[0])
+    # phi is the identity for l1, so the averaged distances are the kernel
+    pb = psibar_matrix(sample.data, squared=False)
+    identity = np.arange(sample.n + sample.m)[None, :] < sample.n
+    return float(masked_statistics(pb, sample.n, sample.m, identity)[0])
+
+
+def _cov_gap(sq: np.ndarray, n: int, m: int, p: int) -> float:
+    """cov_gap from the averaged squared distances ``sq`` of the pooled rows.
+    The double-centred blocks of ``sq`` are -2/p times those of the Gram
+    matrix G of the group-centred rows, and ||Cx - Cy||^2 = ||G_xx||^2/(n-1)^2
+    + ||G_yy||^2/(m-1)^2 - 2||G_xy||^2/((n-1)(m-1)); copied groups have
+    bitwise equal blocks, so their gap is exactly 0."""
+    xx, yy, xy = (
+        np.sum((d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()) ** 2)
+        for d in (sq[:n, :n], sq[n:, n:], sq[:n, n:])
+    )
+    gap = xx / (n - 1) ** 2 + yy / (m - 1) ** 2 - 2.0 * xy / ((n - 1) * (m - 1))
+    return float(max(gap, 0.0) * p / 4.0)
 
 
 def cov_gap(sample: LabeledSample) -> float:
     """Squared Frobenius distance between group sample covariances, scaled
-    by 1/p."""
-    cx = np.cov(sample.x, rowvar=False, ddof=1)
-    cy = np.cov(sample.y, rowvar=False, ddof=1)
-    return float(np.sum((cx - cy) ** 2) / sample.p)
+    by 1/p, without forming either p x p covariance."""
+    return _cov_gap(psibar_matrix(sample.data, squared=True), sample.n, sample.m, sample.p)
 
 
 def analytic_vxy_quadratic(cov_x: np.ndarray, cov_y: np.ndarray) -> float:
@@ -167,27 +175,30 @@ def discrepancy_report(
     The hint compares each measure against its spread under random group
     relabellings of the same data; it is a heuristic, not a test.
     """
-    mg, vg = mean_variance_gaps(sample)
-    cg = cov_gap(sample)
-
+    n, m = sample.n, sample.m
     rng = np.random.default_rng(seed)
-    total = sample.n + sample.m
-    perms = [rng.permutation(total) for _ in range(null_reps)]
-    gaps = [mean_variance_gaps(LabeledSample(sample.data[p], sample.n, sample.m)) for p in perms]
-    # row 0 is the observed grouping, row 1+r the r-th relabelling
-    energy = _l1_statistics(sample, [np.arange(total), *perms])
-    med = float(energy[0])
-    null_stats = np.column_stack([gaps, energy[1:]])
-    thresh = np.quantile(null_stats, 0.95, axis=0)
-
-    mean_var_signal = mg > thresh[0] or vg > thresh[1]
-    marginal_signal = med > thresh[2]
-    if mean_var_signal:
+    # row 0 is the observed grouping, row 1+r the r-th relabelling, whose
+    # first n entries name the rows that form group X
+    perms = [np.arange(n + m), *(rng.permutation(n + m) for _ in range(null_reps))]
+    masks = np.argsort(perms, axis=1) < n
+    # pair sums of ||x_i - x_j||^2 / p give each grouping's mean and variance gaps
+    sq = psibar_matrix(sample.data, squared=True)
+    cross, wx, wy = masked_pair_sums(sq, n, m, masks)
+    stats = np.column_stack([
+        np.maximum(cross / (n * m) - wx / n**2 - wy / m**2, 0.0),
+        np.abs(wx / (n * (n - 1)) - wy / (m * (m - 1))),
+        # phi is the identity for l1, so the averaged distances are the kernel
+        masked_statistics(psibar_matrix(sample.data, squared=False), n, m, masks),
+    ])
+    mg, vg, med = map(float, stats[0])
+    mean_signal, var_signal, marginal_signal = stats[0] > np.quantile(stats[1:], 0.95, axis=0)
+    if mean_signal or var_signal:
         hint = "consistency-plausible (mean/variance gap above relabelling spread)"
     elif marginal_signal:
         hint = "l1-detectable (marginal distributions differ beyond mean/variance)"
     else:
         hint = "low-power-plausible (no marginal signal above relabelling spread)"
+    cg = _cov_gap(sq, n, m, sample.p)
     return DiscrepancyReport(
         mean_gap=mg, var_gap=vg, marginal_ed_sum=med, cov_gap=cg, regime_hint=hint
     )

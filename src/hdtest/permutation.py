@@ -57,11 +57,6 @@ class RandomizationDistribution:
         idx = np.searchsorted(self.values, t, side="right")
         return float(np.cumsum(self.counts)[idx - 1] / self.total) if idx else 0.0
 
-    def tail_count(self, t: float) -> int:
-        """Number of permutations with value >= t."""
-        idx = np.searchsorted(self.values, t, side="left")
-        return int(self.counts[idx:].sum())
-
     def mean(self) -> float:
         return float(np.dot(self.values, self.counts) / self.total)
 

@@ -2,13 +2,15 @@
 
 The kernel matrix is built once per test; evaluating the statistic under a
 permutation only re-weights its entries, so the per-permutation cost is
-O((n+m)^2) regardless of the data dimension.
+O((n+m)^2) regardless of the data dimension. One engine,
+:func:`masked_pair_sums`, gives the cross and within-group pair sums for a
+batch of group masks; the statistic and the diagnostics combine them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -127,18 +129,17 @@ def ed_statistic(km: KernelMatrix) -> float:
     )
 
 
-def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> np.ndarray:
-    """Permuted statistics for a batch of group-X masks.
+def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
+    """(cross, within_x, within_y) pair sums of a symmetric zero-diagonal
+    matrix for each row of ``masks``, a (S, n+m) boolean array marking the
+    positions that carry an X label, from one GEMM.
 
-    ``masks`` is a (S, n+m) boolean array; row s marks the positions that
-    carry an X label under permutation s. Uses the identity that each
-    permuted statistic is a fixed re-weighting of the kernel matrix entries.
+    For n = m each mask is evaluated through its representative with
+    position 0 in group X, so the within sums may come swapped; anything
+    built from them must be symmetric under the swap.
     """
     if n == m:
-        # for balanced groups the statistic is invariant under swapping the
-        # labels, so evaluate each mask through the representative with
-        # position 0 in group X; mathematically tied values then tie exactly
-        # in floating point as well
+        # mathematically tied values then tie exactly in floating point too
         flip = ~masks[:, 0]
         masks = np.where(flip[:, None], ~masks, masks)
     g = masks.astype(float)
@@ -148,6 +149,13 @@ def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> 
     cross = row_tot - 2.0 * within_x
     total = values.sum() / 2.0
     within_y = total - within_x - cross
+    return cross, within_x, within_y
+
+
+def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> np.ndarray:
+    """Permuted statistics for a batch of group-X masks: each is a fixed
+    re-weighting of the kernel matrix entries, see :func:`masked_pair_sums`."""
+    cross, within_x, within_y = masked_pair_sums(values, n, m, masks)
     return (
         2.0 / (m * n) * cross
         - 2.0 / (n * (n - 1)) * within_x
@@ -156,25 +164,13 @@ def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> 
 
 
 def ed_statistic_permuted(km: KernelMatrix, perm) -> float:
-    """Statistic after relabelling groups by ``perm``.
-
-    Uses compensated block sums over the regrouped indices, so the result
-    matches :func:`ed_statistic` on physically reordered rows exactly; the
-    batched re-weighting in :func:`masked_statistics` trades a little
-    accuracy for speed and is reserved for whole distributions.
-    """
-    n, m, k = km.n, km.m, km.values
-    mask = group_mask(perm, n, m)
-    ix = np.flatnonzero(mask)
-    iy = np.flatnonzero(~mask)
-    cross = math.fsum(k[np.ix_(ix, iy)].ravel().tolist())
-    within_x = math.fsum(k[np.ix_(ix, ix)][np.triu_indices(n, 1)].tolist())
-    within_y = math.fsum(k[np.ix_(iy, iy)][np.triu_indices(m, 1)].tolist())
-    return (
-        2.0 / (m * n) * cross
-        - 2.0 / (n * (n - 1)) * within_x
-        - 2.0 / (m * (m - 1)) * within_y
-    )
+    """Statistic after relabelling groups by ``perm``: :func:`ed_statistic`
+    of the kernel matrix reordered X-first. Its block sums are exactly
+    rounded, so it matches the statistic of physically reordered rows
+    exactly; :func:`masked_statistics` trades a little accuracy for speed."""
+    mask = group_mask(perm, km.n, km.m)
+    order = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
+    return ed_statistic(replace(km, values=km.values[np.ix_(order, order)]))
 
 
 def permute_rows(sample: LabeledSample, perm) -> LabeledSample:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdtest import datagen
 from hdtest.datagen import (
     ScenarioConfig,
     ar_correlation,
@@ -203,3 +204,15 @@ class TestDispatch:
         cfg = ScenarioConfig(example="1", p=6, n=4, m=4)
         with pytest.raises(ValueError):
             gen_example3(cfg)
+
+
+class TestSquareRootCache:
+    def test_bounded_and_keyed_by_inputs(self):
+        datagen._base_sqrt.cache_clear()
+        # the null and mean-shift designs share one root per (p, rho, scales)
+        for example in ("1", "2i"):
+            generate(ScenarioConfig(example=example, p=17, n=2, m=2, beta=0.5))
+        assert datagen._base_sqrt.cache_info().misses == 1
+        for p in range(3, 15):
+            generate(ScenarioConfig(example="2ii", p=p, n=2, m=2, beta=0.5))
+        assert datagen._base_sqrt.cache_info().currsize == 8

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from hdtest.datagen import ScenarioConfig, ar_correlation, generate
+from hdtest.datagen import EXAMPLES, ScenarioConfig, ar_correlation, generate
 from hdtest.diagnostics import (
     analytic_vxy_quadratic,
     cov_gap,
@@ -12,7 +14,32 @@ from hdtest.diagnostics import (
     mean_variance_gaps,
 )
 from hdtest.kernels import KernelSpec
-from hdtest.statistic import LabeledSample, build_kernel_matrix, ed_statistic
+from hdtest.statistic import LabeledSample, build_kernel_matrix, ed_statistic, psibar_matrix
+
+
+def _cov_gap_reference(sample):
+    """The covariance gap from the two p x p sample covariances."""
+    cx = np.cov(sample.x, rowvar=False, ddof=1)
+    cy = np.cov(sample.y, rowvar=False, ddof=1)
+    return float(np.sum((cx - cy) ** 2) / sample.p)
+
+
+def _agreement_samples():
+    """The designs at n=m=50, p=500, unequal groups, ties, constant columns."""
+    out = {
+        ex: generate(ScenarioConfig(ex, p=500, n=50, m=50, beta=0.3, seed=3))
+        for ex in EXAMPLES
+    }
+    rng = np.random.default_rng(38)
+    shift = np.r_[np.zeros(30), np.full(45, 0.3)][:, None]
+    out["unequal"] = LabeledSample(rng.standard_normal((75, 40)) + shift, 30, 45)
+    out["ties"] = LabeledSample(np.round(rng.standard_normal((40, 20))), 15, 25)
+    const = np.c_[rng.standard_normal((30, 10)), np.ones((30, 3))]
+    out["constant-columns"] = LabeledSample(const, 14, 16)
+    return out
+
+
+AGREEMENT = _agreement_samples()
 
 
 class TestMeanVarianceGaps:
@@ -60,6 +87,11 @@ class TestCovGap:
         x = rng.standard_normal((8, 5))
         s = LabeledSample(np.vstack([x, x]), 8, 8)
         assert cov_gap(s) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(AGREEMENT))
+    def test_matches_covariance_reference(self, name):
+        s = AGREEMENT[name]
+        assert cov_gap(s) == pytest.approx(_cov_gap_reference(s), rel=1e-10)
 
     def test_ar_population_value(self):
         # population value (1/p) sum_{u != v} rho^{2|u-v|} -> 2 rho^2/(1-rho^2)
@@ -156,3 +188,46 @@ class TestDiscrepancyReport:
         )
         rep = discrepancy_report(LabeledSample(data, 20, 20), seed=2)
         assert rep.regime_hint.startswith("consistency-plausible")
+
+    @pytest.mark.parametrize("name", sorted(AGREEMENT))
+    def test_agrees_with_per_coordinate_references(self, name):
+        s = AGREEMENT[name]
+        rep = discrepancy_report(s, seed=4)
+        mg, vg = mean_variance_gaps(s)
+        assert rep.mean_gap == pytest.approx(mg, rel=1e-10)
+        assert rep.var_gap == pytest.approx(vg, rel=1e-10)
+        assert rep.cov_gap == pytest.approx(_cov_gap_reference(s), rel=1e-10)
+        # a one-row product goes through another BLAS kernel than the batch
+        assert rep.marginal_ed_sum == pytest.approx(marginal_energy_sum(s), rel=1e-12)
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_copied_blocks_have_no_mean_gap(self, example):
+        x = AGREEMENT[example].x
+        s = LabeledSample(np.vstack([x, x]), 50, 50)
+        rep = discrepancy_report(s, seed=5)
+        # zero up to the rounding of pair sums of distances of order one
+        scale = float(np.mean(psibar_matrix(s.data, squared=True)))
+        assert 0.0 <= rep.mean_gap <= 1e-13 * scale
+        assert rep.cov_gap == 0.0
+
+    def test_grouping_ties_with_its_own_relabellings(self):
+        # the observed grouping separates two copies of one cloud; relabellings
+        # that reproduce it must give exactly its gaps, so it never exceeds
+        # the relabelling quantile it is tied with
+        for seed in range(40):
+            x = np.random.default_rng(seed).standard_normal((3, 2))
+            s = LabeledSample(np.vstack([x, x + 10.0]), 3, 3)
+            rep = discrepancy_report(s, null_reps=200, seed=seed)
+            assert not rep.regime_hint.startswith("consistency-plausible"), seed
+
+    def test_mean_gap_accurate_under_large_offsets(self):
+        rng = np.random.default_rng(5)
+        n, m, p = 6, 5, 4
+        for _ in range(40):
+            data = 0.3 * rng.standard_normal((n + m, p)) + 1e8
+            exact = Fraction(0)
+            for col in data.T:
+                diff = sum(map(Fraction, col[:n])) / n - sum(map(Fraction, col[n:])) / m
+                exact += diff**2 / p
+            rep = discrepancy_report(LabeledSample(data, n, m))
+            assert abs(Fraction(rep.mean_gap) - exact) <= Fraction(1, 10**10) * exact
