@@ -20,19 +20,8 @@ from .diagnostics import (
     estimate_moment_constants,
 )
 from .kernels import FAMILIES, KernelSpec, kernel_eval, phi, phi_prime, psi_bar
-from .permutation import (
-    PermutationPlan,
-    RandomizationDistribution,
-    TestResult,
-    permutation_test,
-)
-from .statistic import (
-    KernelMatrix,
-    LabeledSample,
-    build_kernel_matrix,
-    ed_statistic,
-    ed_statistic_permuted,
-)
+from .permutation import PermutationPlan, TestResult, permutation_test
+from .statistic import KernelMatrix, LabeledSample, build_kernel_matrix, ed_statistic
 from .harness import (
     PowerTable,
     RealDataset,
@@ -53,7 +42,6 @@ __all__ = [
     "MomentConstants",
     "PermutationPlan",
     "PowerTable",
-    "RandomizationDistribution",
     "RealDataset",
     "ScenarioConfig",
     "StudyConfig",
@@ -61,7 +49,6 @@ __all__ = [
     "build_kernel_matrix",
     "discrepancy_report",
     "ed_statistic",
-    "ed_statistic_permuted",
     "estimate_moment_constants",
     "f_w",
     "generate",

@@ -209,12 +209,12 @@ def power_limit_mc(
     if draws < 1000:
         raise ValueError("need at least 1000 draws")
     n, m = gp.n, gp.m
-    masks, mult = plan_masks(plan, n, m)
+    masks = plan_masks(plan, n, m)[0]
     rng = np.random.default_rng(seed)
     rejections = 0
     for _ in range(draws):
         g = _gaussian_pair_matrix(gp, rng)
-        _, reject = decide(masked_statistics(g, n, m, masks), alpha, mult)
+        _, reject = decide(masked_statistics(g, n, m, masks), alpha)
         rejections += bool(reject)
     rate = rejections / draws
     se = math.sqrt(rate * (1.0 - rate) / draws)

@@ -6,7 +6,7 @@ Subcommands:
   diagnose    discrepancy measures and moment-constant estimates
   asymptotics tables of f(w), mu_{n,w}, sigma^2_{n,w} and the class pmf
   powerlimit  Monte Carlo limiting-power estimate from variance constants
-  power/size  Monte Carlo power (or size) study from a JSON config
+  power       Monte Carlo power (or size) study from a JSON config; alias size
   realdata    subsampled power study on a class-labelled data file
 """
 
@@ -224,14 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pl.add_argument("--seed", type=int, default=0)
     p_pl.set_defaults(func=_cmd_powerlimit)
 
-    for name, help_text in (("power", "power study from JSON config"),
-                            ("size", "size study from JSON config")):
-        p_study = sub.add_parser(name, help=help_text)
-        p_study.add_argument("--config", required=True)
-        p_study.add_argument("--seed", type=int, default=None)
-        p_study.add_argument("--jobs", type=int, default=harness.default_jobs())
-        p_study.add_argument("--out", default=f"{name}_table.csv")
-        p_study.set_defaults(func=_cmd_power)
+    p_study = sub.add_parser("power", aliases=["size"],
+                             help="power (or size) study from JSON config")
+    p_study.add_argument("--config", required=True)
+    p_study.add_argument("--seed", type=int, default=None)
+    p_study.add_argument("--jobs", type=int, default=harness.default_jobs())
+    p_study.add_argument("--out", default="power_table.csv")
+    p_study.set_defaults(func=_cmd_power)
 
     p_rd = sub.add_parser("realdata", help="subsampled real-data power study")
     p_rd.add_argument("--file", required=True)

@@ -295,6 +295,8 @@ def load_delimited(path, fmt: str = "ucr-tsv") -> RealDataset:
                 series = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: non-numeric field ({exc})") from None
+            if not all(map(math.isfinite, series)):
+                raise ValueError(f"line {lineno}: non-finite value")
             if width is None:
                 width = len(series)
             elif len(series) != width:

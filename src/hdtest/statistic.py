@@ -10,7 +10,7 @@ batch of group masks; the statistic and the diagnostics combine them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -92,26 +92,6 @@ def _check_perm(perm, size: int) -> np.ndarray:
     return perm
 
 
-def group_mask(perm, n: int, m: int) -> np.ndarray:
-    """Boolean mask of positions relabelled into group X by ``perm``."""
-    perm = _check_perm(perm, n + m)
-    return perm < n
-
-
-def permutation_weights(perm, n: int, m: int) -> np.ndarray:
-    """Explicit pair-weight matrix: +2/(nm) across groups, -2/(n(n-1)) within
-    the relabelled X group and -2/(m(m-1)) within the relabelled Y group."""
-    g = group_mask(perm, n, m)
-    w = np.empty((n + m, n + m))
-    xx = np.outer(g, g)
-    yy = np.outer(~g, ~g)
-    w[:] = 2.0 / (m * n)
-    w[xx] = -2.0 / (n * (n - 1))
-    w[yy] = -2.0 / (m * (m - 1))
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
 def ed_statistic(km: KernelMatrix) -> float:
     """Unbiased estimator: 2*mean(cross) - mean(within X) - mean(within Y).
 
@@ -161,25 +141,3 @@ def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> 
         - 2.0 / (n * (n - 1)) * within_x
         - 2.0 / (m * (m - 1)) * within_y
     )
-
-
-def ed_statistic_permuted(km: KernelMatrix, perm) -> float:
-    """Statistic after relabelling groups by ``perm``: :func:`ed_statistic`
-    of the kernel matrix reordered X-first. Its block sums are exactly
-    rounded, so it matches the statistic of physically reordered rows
-    exactly; :func:`masked_statistics` trades a little accuracy for speed."""
-    mask = group_mask(perm, km.n, km.m)
-    order = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
-    return ed_statistic(replace(km, values=km.values[np.ix_(order, order)]))
-
-
-def permute_rows(sample: LabeledSample, perm) -> LabeledSample:
-    """Physically reorder rows so that position i holds old row perm^{-1}(i).
-
-    After this reordering the first n rows are exactly the rows whose new
-    index perm(i) lies in the X block, matching the weight-permutation view.
-    """
-    perm = _check_perm(perm, sample.n + sample.m)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return LabeledSample(data=sample.data[inv], n=sample.n, m=sample.m)

@@ -259,10 +259,10 @@ class TestPowerLimitMC:
             power_limit_mc(gp, 0.05, PermutationPlan(mode="exact"), 100)
 
     def test_exact_cap_enforced(self):
-        # 6! = 720 permutations exceed a cap of 100, as in permutation_test
-        gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)
+        # C(20, 10) = 184756 masks exceed the cap, as in permutation_test
+        gp = GaussianProcessSpec(10, 10, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="exact enumeration"):
-            power_limit_mc(gp, 0.05, PermutationPlan(mode="exact", exact_cap=100), 1000)
+            power_limit_mc(gp, 0.05, PermutationPlan(mode="exact"), 1000)
 
     def test_self_consistency_disjoint_seeds(self):
         gp = GaussianProcessSpec(3, 3, 4.0, 1.0, 1.0)
@@ -277,7 +277,7 @@ class TestPowerLimitMC:
         # matrices over all 720 permutations, disjoint seed
         from itertools import permutations as iter_permutations
 
-        from hdtest.statistic import permutation_weights
+        from tests.reference import permutation_weights
 
         n = m = 3
         gp = GaussianProcessSpec(n, m, 4.0, 1.0, 1.0)

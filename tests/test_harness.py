@@ -201,6 +201,14 @@ class TestLoadDelimited:
         with pytest.raises(ValueError, match="line 2"):
             load_delimited(f, "ucr-tsv")
 
+    @pytest.mark.parametrize("field", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_names_line(self, tmp_path, field):
+        # NaN-padded variable-length UCR rows are refused the same way
+        f = tmp_path / "d.tsv"
+        f.write_text(f"1\t0.0\t1.0\n2\t3.0\t{field}\n2\t5.0\t6.0\n1\t9.0\t8.0\n")
+        with pytest.raises(ValueError, match="line 2: non-finite value"):
+            load_delimited(f, "ucr-tsv")
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "d.tsv"
         f.write_text("")

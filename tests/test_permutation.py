@@ -3,25 +3,29 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.permutation import (
     PermutationPlan,
-    RandomizationDistribution,
-    critical_value,
+    decide,
     exact_masks,
     n_of_gamma,
     permutation_test,
     plan_masks,
-    randomization_distribution,
     s_w_cardinality,
     sample_masks,
 )
-from hdtest.statistic import KernelMatrix, LabeledSample, build_kernel_matrix
+from hdtest.statistic import LabeledSample, build_kernel_matrix, masked_statistics
+from tests.reference import ed_statistic_permuted, exact_masks_loop, sample_masks_loop
 
 
-def _km_from_values(values, n, m, fam="l1"):
-    return KernelMatrix(values=values, spec=KernelSpec(fam), n=n, m=m)
+def _distribution(values, n, m, plan):
+    """Sorted statistics over a plan's masks and the permutations each
+    stands for."""
+    masks, mult = plan_masks(plan, n, m)
+    return np.sort(masked_statistics(values, n, m, masks)), mult
 
 
 class TestNOfGamma:
@@ -95,79 +99,101 @@ class TestMasks:
         b = sample_masks(4, 4, 25, seed=9)
         np.testing.assert_array_equal(a, b)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n=st.integers(2, 40),
+        m=st.integers(2, 40),
+        count=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_sampled_masks_match_permutation_loop(self, n, m, count, seed):
+        np.testing.assert_array_equal(
+            sample_masks(n, m, count, seed), sample_masks_loop(n, m, count, seed)
+        )
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 13).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 14 - n))))
+    def test_exact_masks_match_combinations_loop(self, sizes):
+        n, m = sizes
+        masks, mult = exact_masks(n, m)
+        ref_masks, ref_mult = exact_masks_loop(n, m)
+        np.testing.assert_array_equal(masks, ref_masks)
+        assert mult == ref_mult
+
 
 class TestRandomizationDistribution:
     def test_constant_matrix(self):
         vals = np.full((5, 5), 1.3)
         np.fill_diagonal(vals, 0.0)
-        km = _km_from_values(vals, 2, 3)
-        dist = randomization_distribution(km, PermutationPlan(mode="exact"))
-        np.testing.assert_allclose(dist.values, 0.0, atol=1e-13)
-        assert dist.cdf(1e-9) == 1.0
+        stats, _ = _distribution(vals, 2, 3, PermutationPlan(mode="exact"))
+        np.testing.assert_allclose(stats, 0.0, atol=1e-13)
+        assert np.all(stats <= 1e-9)
 
     def test_exact_mean_zero_hand_case(self):
         s = LabeledSample(np.array([[0.0], [1.0], [2.0], [3.0]]), 2, 2)
         km = build_kernel_matrix(s, KernelSpec("l1"))
-        dist = randomization_distribution(km, PermutationPlan(mode="exact"))
-        assert dist.total == math.factorial(4)
-        assert dist.mean() == pytest.approx(0.0, abs=1e-13)
+        stats, mult = _distribution(km.values, 2, 2, PermutationPlan(mode="exact"))
+        assert stats.size * mult == math.factorial(4)
+        assert stats.mean() == pytest.approx(0.0, abs=1e-13)
 
     def test_exact_matches_brute_force(self):
         rng = np.random.default_rng(12)
         s = LabeledSample(rng.standard_normal((5, 3)), 2, 3)
         km = build_kernel_matrix(s, KernelSpec("l2"))
-        dist = randomization_distribution(km, PermutationPlan(mode="exact"))
-        from hdtest.statistic import ed_statistic_permuted
-
+        stats, mult = _distribution(km.values, 2, 3, PermutationPlan(mode="exact"))
         brute = sorted(
             ed_statistic_permuted(km, np.array(p))
             for p in iter_permutations(range(5))
         )
-        expanded = np.repeat(dist.values, dist.counts)
+        expanded = np.repeat(stats, mult)
         np.testing.assert_allclose(expanded, brute, atol=1e-12)
 
     def test_monte_carlo_deterministic(self):
         rng = np.random.default_rng(13)
         s = LabeledSample(rng.standard_normal((9, 3)), 4, 5)
         km = build_kernel_matrix(s, KernelSpec("gaussian"))
-        d1 = randomization_distribution(km, PermutationPlan(count=64, seed=3))
-        d2 = randomization_distribution(km, PermutationPlan(count=64, seed=3))
-        np.testing.assert_array_equal(d1.values, d2.values)
-        assert d1.total == 64
+        d1, mult = _distribution(km.values, 4, 5, PermutationPlan(count=64, seed=3))
+        d2, _ = _distribution(km.values, 4, 5, PermutationPlan(count=64, seed=3))
+        np.testing.assert_array_equal(d1, d2)
+        assert d1.size * mult == 64
 
     def test_exact_cap_enforced(self):
+        # C(20, 10) = 184756 masks exceed the cap
         rng = np.random.default_rng(14)
-        s = LabeledSample(rng.standard_normal((12, 2)), 6, 6)
-        km = build_kernel_matrix(s, KernelSpec("l1"))
+        s = LabeledSample(rng.standard_normal((20, 2)), 10, 10)
         with pytest.raises(ValueError, match="exact enumeration"):
-            randomization_distribution(km, PermutationPlan(mode="exact"))
+            permutation_test(s, KernelSpec("l1"), plan=PermutationPlan(mode="exact"))
 
 
 class TestCriticalValue:
     def test_point_mass_at_zero(self):
-        dist = RandomizationDistribution(
-            values=np.array([0.0]), counts=np.array([24]), total=24, provenance="exact"
-        )
-        assert critical_value(dist, 0.05) == 0.0
+        assert decide(np.array([0.0]), 0.05)[0] == 0.0
 
     def test_uniform_grid(self):
-        dist = RandomizationDistribution(
-            values=np.arange(1.0, 101.0),
-            counts=np.ones(100, dtype=np.int64),
-            total=100,
-            provenance="monte-carlo",
-        )
-        assert critical_value(dist, 0.05) == 95.0
-        assert critical_value(dist, 0.049) == 96.0
+        values = np.arange(1.0, 101.0)
+        assert decide(values, 0.05)[0] == 95.0
+        assert decide(values, 0.049)[0] == 96.0
 
     def test_alpha_range(self):
-        dist = RandomizationDistribution(
-            values=np.array([0.0]), counts=np.array([1]), total=1, provenance="x"
-        )
+        values = np.array([0.0])
         with pytest.raises(ValueError):
-            critical_value(dist, 0.0)
+            decide(values, 0.0)
         with pytest.raises(ValueError):
-            critical_value(dist, 1.0)
+            decide(values, 1.0)
+
+    def test_exact_rank_in_mask_units(self):
+        # the quantile over the n!*m! copies of every mask's statistic
+        rng = np.random.default_rng(18)
+        alphas = (0.01, 0.05, 0.1)
+        for n in range(2, 9):
+            for m in range(2, 11 - n):
+                stats = rng.standard_normal(math.comb(n + m, n))
+                expanded = np.repeat(stats, math.factorial(n) * math.factorial(m))
+                total = expanded.size
+                ranks = [total - math.floor(alpha * total) - 1 for alpha in alphas]
+                expanded.partition(ranks)
+                for alpha, rank in zip(alphas, ranks):
+                    assert decide(stats, alpha)[0] == expanded[rank], (n, m, alpha)
 
 
 class TestPermutationTest:
@@ -221,6 +247,15 @@ class TestPermutationTest:
         res = permutation_test(s, KernelSpec("l1"), plan=PermutationPlan(mode="exact"))
         assert res.w_histogram == {0: 4, 1: 16, 2: 4}
 
+    def test_exact_mode_walks_masks_not_permutations(self):
+        # 12! permutations, 924 distinct masks
+        rng = np.random.default_rng(19)
+        s = LabeledSample(rng.standard_normal((12, 3)), 6, 6)
+        res = permutation_test(s, KernelSpec("l2"), plan=PermutationPlan(mode="exact"))
+        assert sum(res.w_histogram.values()) == math.factorial(12)
+        assert sum(res.w_histogram.values()) // math.factorial(6) ** 2 == 924
+        assert res.p_value >= 1.0 / 924
+
     def test_w_histogram_monte_carlo_counts(self):
         s = LabeledSample(np.arange(12.0).reshape(6, 2), 3, 3)
         res = permutation_test(s, KernelSpec("l1"), plan=PermutationPlan(count=80, seed=2))
@@ -246,7 +281,7 @@ class TestObservedIsIdentityEntry:
                 plans.append(PermutationPlan(mode="exact"))
             for plan in plans:
                 res = permutation_test(s, spec, plan=plan)
-                values = randomization_distribution(build_kernel_matrix(s, spec), plan).values
+                values, _ = _distribution(build_kernel_matrix(s, spec).values, n, m, plan)
                 assert res.statistic in values, (case, plan.mode)
                 tail = np.count_nonzero(values >= res.statistic)
                 assert res.p_value * values.size == pytest.approx(tail), (case, plan.mode)

@@ -6,13 +6,15 @@ from hdtest.statistic import (
     LabeledSample,
     build_kernel_matrix,
     ed_statistic,
-    ed_statistic_permuted,
-    group_mask,
     kernel_matrix_from_psibar,
     masked_statistics,
+    psibar_matrix,
+)
+from tests.reference import (
+    ed_statistic_permuted,
+    group_mask,
     permutation_weights,
     permute_rows,
-    psibar_matrix,
 )
 
 
