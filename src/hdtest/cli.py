@@ -32,6 +32,12 @@ def _kernel_arg(parser):
 
 def _load_sample(path: str, n: int) -> LabeledSample:
     data = np.loadtxt(path, delimiter=",", ndmin=2)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # loadtxt skips lines that are blank once a "#" comment is cut off
+        with open(path) as fh:
+            lines = [i for i, line in enumerate(fh, start=1) if line.split("#", 1)[0].strip()]
+        raise SystemExit(f"{path}: line {lines[np.argmin(finite)]}: non-finite value")
     if not 2 <= n <= data.shape[0] - 2:
         raise SystemExit(f"--n must leave at least 2 rows in each group (got n={n}, "
                          f"{data.shape[0]} rows)")

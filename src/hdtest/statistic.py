@@ -2,7 +2,10 @@
 
 The kernel matrix is built once per test; evaluating the statistic under a
 permutation only re-weights its entries, so the per-permutation cost is
-O((n+m)^2) regardless of the data dimension. One engine,
+O((n+m)^2) regardless of the data dimension. The one O((n+m)^2 p) step,
+squared distances, is a Gram GEMM of the rows centred on row 0 (see
+:func:`psibar_matrix`: exactly symmetric, exact on integer-valued data and
+for duplicated rows); cityblock distances come from ``pdist``. One engine,
 :func:`masked_pair_sums`, gives the cross and within-group pair sums for a
 batch of group masks; the statistic and the diagnostics combine them.
 """
@@ -67,11 +70,55 @@ def psibar_matrix(data: np.ndarray, squared: bool) -> np.ndarray:
     """Pairwise averaged coordinate distances for all rows of ``data``.
 
     With ``squared`` this is the squared euclidean distance divided by p,
-    otherwise the cityblock distance divided by p.
+    otherwise the cityblock distance divided by p (``pdist``).
+
+    Squared distances come from one Gram GEMM of the rows centred on row 0,
+    z = data - data[0], g = z zᵀ, d = diag(g): the entry (i, j) is
+    max(dᵢ + dⱼ - 2gᵢⱼ, 0) / p. Centring on a data row removes common
+    offsets such as 1e8 and keeps integer-valued data integer, so its
+    distances, ties included, are exact and equal ``pdist``'s bit for bit.
+    The formula cancels where a distance is small against dᵢ + dⱼ, so pairs
+    below 1e-2 of it are summed from their coordinate differences instead:
+    every entry is then accurate relative to itself (to about 100 times the
+    rounding of one dot product), not only to the largest entry. High
+    dimensional data has no such pairs. The matrix is exactly symmetric
+    with a zero diagonal, and rows that are exactly equal are at distance
+    exactly 0.0 and share their first copy's row and column bit for bit.
     """
     p = data.shape[1]
-    metric = "sqeuclidean" if squared else "cityblock"
-    return squareform(pdist(data, metric=metric)) / p
+    if not squared:
+        return squareform(pdist(data, metric="cityblock")) / p
+    z = data - data[0]
+    g = z @ z.T
+    d = g.diagonal().copy()
+    sq = np.add.outer(d, d)
+    # twice the Gram matrix, symmetric whatever the BLAS does; the diagonal
+    # is then 2dᵢ - 2gᵢᵢ = 0 exactly
+    sq -= g + g.T
+    np.maximum(sq, 0.0, out=sq)
+    later, earlier = np.nonzero(np.tril(sq <= np.add.outer(1e-2 * d, 1e-2 * d), -1))
+    if later.size:
+        near = _sq_differences(data, later, earlier)
+        sq[later, earlier] = sq[earlier, later] = near
+        copy = near == 0.0
+        if copy.any():
+            rep = np.arange(data.shape[0])  # index of each row's first copy
+            np.minimum.at(rep, later[copy], earlier[copy])
+            sq = sq[np.ix_(rep, rep)]
+            sq[rep[:, None] == rep[None, :]] = 0.0
+    sq /= p
+    return sq
+
+
+def _sq_differences(data: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance of rows a[k] and b[k] for each k, from the coordinate
+    differences, in chunks of about 2**16 entries."""
+    step = max(1, 2**16 // data.shape[1])
+    out = np.empty(a.size)
+    for i in range(0, a.size, step):
+        diff = data[a[i : i + step]] - data[b[i : i + step]]
+        out[i : i + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def kernel_matrix_from_psibar(pb: np.ndarray, spec: KernelSpec, n: int, m: int) -> KernelMatrix:

@@ -46,6 +46,20 @@ class TestGenAndTest:
         with pytest.raises(SystemExit):
             main(["test", str(csv_path), "--n", "3"])
 
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_its_line(self, tmp_path, command, field):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text(f"0,1\n{field},2\n3,4\n5,6\n")
+        with pytest.raises(SystemExit, match="line 2: non-finite value"):
+            main([command, str(csv_path), "--n", "2"])
+
+    def test_non_finite_line_counts_comments_and_blanks(self, tmp_path):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("# header\n0,1\n\n3,4\n5,nan\n7,8\n")
+        with pytest.raises(SystemExit, match="line 5: non-finite value"):
+            main(["test", str(csv_path), "--n", "2"])
+
     def test_gen_from_json_config(self, tmp_path, capsys):
         cfg = {"example": "3i", "p": 8, "n": 5, "m": 6, "beta": 1.0, "seed": 2}
         cfg_path = tmp_path / "scen.json"

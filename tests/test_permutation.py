@@ -19,6 +19,7 @@ from hdtest.permutation import (
 )
 from hdtest.statistic import LabeledSample, build_kernel_matrix, masked_statistics
 from tests.reference import ed_statistic_permuted, exact_masks_loop, sample_masks_loop
+from tests.strategies import awkward_data
 
 
 def _distribution(values, n, m, plan):
@@ -286,3 +287,65 @@ class TestObservedIsIdentityEntry:
                 tail = np.count_nonzero(values >= res.statistic)
                 assert res.p_value * values.size == pytest.approx(tail), (case, plan.mode)
                 assert res.reject == (res.statistic > res.critical_value)
+
+
+def _weighted_abs_sum(sample, spec) -> float:
+    """Sum of the absolute weighted terms of the statistic: the scale its
+    rounding error is relative to."""
+    km = build_kernel_matrix(sample, spec)
+    n, m, k = km.n, km.m, np.abs(km.values)
+    return (
+        2.0 / (n * m) * k[:n, n:].sum()
+        + 1.0 / (n * (n - 1)) * k[:n, :n].sum()
+        + 1.0 / (m * (m - 1)) * k[n:, n:].sum()
+    )
+
+
+def _observed(sample, spec) -> float:
+    return permutation_test(sample, spec, plan=PermutationPlan(count=1)).statistic
+
+
+_SPLIT_SAMPLES = awkward_data().flatmap(
+    lambda d: st.integers(2, len(d) - 2).map(lambda n: LabeledSample(d, n, len(d) - n))
+)
+_BALANCED_SAMPLES = awkward_data().map(
+    lambda d: LabeledSample(d[: len(d) // 2 * 2], len(d) // 2, len(d) // 2)
+)
+
+
+class TestPropertiesOnAwkwardData:
+    """End to end through the test, on ties, constant columns, 1e8 offsets,
+    duplicated rows and p = 1; the bound is 1e-12 of the summed absolute
+    weighted terms."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        sample=_SPLIT_SAMPLES,
+        family=st.sampled_from(FAMILIES),
+        count=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_p_value_in_unit_range_above_one_over_s(self, sample, family, count, seed):
+        plan = PermutationPlan(count=count, seed=seed)
+        res = permutation_test(sample, KernelSpec(family), plan=plan)
+        assert 1.0 / count <= res.p_value <= 1.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(sample=_SPLIT_SAMPLES, family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
+    def test_within_group_shuffle_invariance(self, sample, family, seed):
+        rng = np.random.default_rng(seed)
+        n, m = sample.n, sample.m
+        order = np.concatenate([rng.permutation(n), n + rng.permutation(m)])
+        shuffled = LabeledSample(sample.data[order], n, m)
+        spec = KernelSpec(family)
+        gap = abs(_observed(sample, spec) - _observed(shuffled, spec))
+        assert gap <= 1e-12 * _weighted_abs_sum(sample, spec)
+
+    @settings(deadline=None, max_examples=100)
+    @given(sample=_BALANCED_SAMPLES, family=st.sampled_from(FAMILIES))
+    def test_label_swap_symmetry(self, sample, family):
+        h = sample.n
+        swapped = LabeledSample(np.vstack([sample.data[h:], sample.data[:h]]), h, h)
+        spec = KernelSpec(family)
+        gap = abs(_observed(sample, spec) - _observed(swapped, spec))
+        assert gap <= 1e-12 * _weighted_abs_sum(sample, spec)

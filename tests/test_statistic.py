@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.spatial.distance import pdist, squareform
 
+from hdtest import statistic
+from hdtest.datagen import ScenarioConfig, generate
 from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.statistic import (
     LabeledSample,
@@ -16,6 +20,7 @@ from tests.reference import (
     permutation_weights,
     permute_rows,
 )
+from tests.strategies import awkward_data
 
 
 def _hand_sample():
@@ -82,6 +87,67 @@ class TestKernelMatrix:
         assert pb[0, 1] == pytest.approx(d01)
         pb1 = psibar_matrix(data, squared=False)
         assert pb1[0, 1] == pytest.approx(np.mean(np.abs(data[0] - data[1])))
+
+
+def _pdist_psibar(data):
+    return squareform(pdist(data, "sqeuclidean")) / data.shape[1]
+
+
+class TestSquaredDistanceContract:
+    """The Gram-GEMM squared distances against ``pdist``: bound fixed at
+    1e-12 of the largest entry, bitwise on integer-valued data."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(awkward_data())
+    def test_close_to_pdist(self, data):
+        pb, ref = psibar_matrix(data, squared=True), _pdist_psibar(data)
+        assert np.max(np.abs(pb - ref)) <= 1e-12 * np.max(ref)
+        # small distances are summed from coordinate differences, so the
+        # bound holds per entry too, not only against the largest one
+        assert np.all(np.abs(pb - ref) <= 1e-12 * ref)
+
+    @settings(deadline=None, max_examples=100)
+    @given(awkward_data(integer=True))
+    def test_integer_data_bitwise_pdist(self, data):
+        np.testing.assert_array_equal(psibar_matrix(data, squared=True), _pdist_psibar(data))
+
+    @settings(deadline=None, max_examples=100)
+    @given(awkward_data())
+    def test_symmetric_with_zero_diagonal(self, data):
+        pb = psibar_matrix(data, squared=True)
+        np.testing.assert_array_equal(pb, pb.T)
+        np.testing.assert_array_equal(np.diag(pb), 0.0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(awkward_data(min_rows=2))
+    def test_duplicates_share_rows_exactly(self, data):
+        pb = psibar_matrix(data, squared=True)
+        for j in range(len(data)):
+            for i in range(j):
+                if np.array_equal(data[i], data[j]):
+                    assert pb[i, j] == 0.0
+                    np.testing.assert_array_equal(pb[j], pb[i])
+                    break
+
+    @pytest.mark.parametrize("example", ["4i", "4ii"])
+    def test_binary_examples_bitwise_pdist(self, example):
+        cfg = ScenarioConfig(example, p=2000, n=50, m=50, beta=0.5, seed=1)
+        data = generate(cfg).data
+        np.testing.assert_array_equal(psibar_matrix(data, squared=True), _pdist_psibar(data))
+
+    def test_only_cityblock_uses_pdist(self, monkeypatch):
+        metrics = []
+
+        def recording_pdist(x, metric):
+            metrics.append(metric)
+            return pdist(x, metric)
+
+        monkeypatch.setattr(statistic, "pdist", recording_pdist)
+        data = np.random.default_rng(12).standard_normal((6, 3))
+        psibar_matrix(data, squared=True)
+        assert metrics == []
+        psibar_matrix(data, squared=False)
+        assert metrics == ["cityblock"]
 
 
 class TestEdStatistic:
