@@ -35,8 +35,14 @@ class MomentConstants:
     v_xy: float
 
     def __post_init__(self):
-        if min(self.v_x, self.v_y, self.v_xy) < 0:
-            raise ValueError("variances must be nonnegative")
+        if not all(map(math.isfinite, (self.e_x, self.e_y, self.e_xy))):
+            raise ValueError("means must be finite")
+        _check_variances(self.v_x, self.v_y, self.v_xy)
+
+
+def _check_variances(*variances: float) -> None:
+    if not all(math.isfinite(v) and v >= 0 for v in variances):
+        raise ValueError("variances must be finite and nonnegative")
 
 
 def _check_w(n: int, m: int, w) -> None:
@@ -167,29 +173,57 @@ class GaussianProcessSpec:
     v_y: float
 
     def __post_init__(self):
-        if min(self.v_x, self.v_y, self.v_xy) < 0:
-            raise ValueError("variances must be nonnegative")
+        if self.n < 2 or self.m < 2:
+            raise ValueError("need n, m >= 2")
+        _check_variances(self.v_xy, self.v_x, self.v_y)
 
 
-def _gaussian_pair_matrix(gp: GaussianProcessSpec, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix of limiting pair contributions: cross block i.i.d.
-    N(0, v_xy), within-X block N(0, v_x), within-Y block N(0, v_y)."""
+#: most entries of one batch's (draws, masks, n+m) product, and of its
+#: (draws, n+m, n+m) pair matrices, in :func:`power_limit_mc`
+_BATCH_ENTRIES = 2**17
+
+
+def _gaussian_pair_matrices(gp: GaussianProcessSpec, rng: np.random.Generator,
+                            draws: int) -> np.ndarray:
+    """(draws, n+m, n+m) stack of symmetric zero-diagonal matrices of limiting
+    pair contributions: cross block i.i.d. N(0, v_xy), within-X block
+    N(0, v_x), within-Y block N(0, v_y).
+
+    Each draw is one row of standard normals: the cross block, then the upper
+    triangles of the X and Y blocks, each scaled by its standard deviation,
+    with no columns for a zero-variance block. ``rng.normal(scale=s)`` is
+    ``s * rng.standard_normal()`` bit for bit, so this is the stream of
+    drawing one matrix after the other, block by block.
+    """
     n, m = gp.n, gp.m
-    total = n + m
-    g = np.zeros((total, total))
-    b = rng.normal(scale=math.sqrt(gp.v_xy), size=(n, m)) if gp.v_xy > 0 else np.zeros((n, m))
-    g[:n, n:] = b
-    g[n:, :n] = b.T
-    for (lo, hi, v) in ((0, n, gp.v_x), (n, total, gp.v_y)):
-        k = hi - lo
-        iu = np.triu_indices(k, 1)
-        block = np.zeros((k, k))
-        if v > 0:
-            vals = rng.normal(scale=math.sqrt(v), size=iu[0].size)
-            block[iu] = vals
-            block += block.T
-        g[lo:hi, lo:hi] = block
+    iu_x, iu_y = np.triu_indices(n, 1), np.triu_indices(m, 1)
+    blocks = (  # (rows, columns, variance) of the upper-triangle entries
+        (np.repeat(np.arange(n), m), np.tile(np.arange(n, n + m), n), gp.v_xy),
+        (iu_x[0], iu_x[1], gp.v_x),
+        (n + iu_y[0], n + iu_y[1], gp.v_y),
+    )
+    blocks = [b for b in blocks if b[2] > 0]
+    z = rng.standard_normal((draws, sum(rows.size for rows, _, _ in blocks)))
+    g = np.zeros((draws, n + m, n + m))
+    start = 0
+    for rows, cols, v in blocks:
+        vals = z[:, start : start + rows.size] * math.sqrt(v)
+        g[:, rows, cols] = vals
+        g[:, cols, rows] = vals
+        start += rows.size
     return g
+
+
+def _limit_statistics(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, seed: int):
+    """The limit process over ``masks`` for each of ``draws`` draws, yielded
+    in (D, S) batches of at most :data:`_BATCH_ENTRIES` / ((n+m) max(S, n+m))
+    draws, one stacked GEMM each."""
+    n, m = gp.n, gp.m
+    rng = np.random.default_rng(seed)
+    size = max(1, _BATCH_ENTRIES // ((n + m) * max(masks.shape[0], n + m)))
+    for start in range(0, draws, size):
+        g = _gaussian_pair_matrices(gp, rng, min(size, draws - start))
+        yield masked_statistics(g, n, m, masks)
 
 
 def power_limit_mc(
@@ -204,18 +238,18 @@ def power_limit_mc(
     Each draw samples the Gaussian pair matrix, evaluates the limit process
     over the identity and the plan's permutations, and rejects when the
     identity value strictly exceeds the (1-alpha) randomization quantile.
+    Draws are evaluated in batches, one stacked masked GEMM and one
+    :func:`~hdtest.permutation.decide` call per batch, with memory bounded
+    by a fixed number of entries per batch; every draw's statistics, and so
+    the estimate, are bit for bit those of evaluating the draws one by one.
     Returns (estimate, standard error).
     """
     if draws < 1000:
         raise ValueError("need at least 1000 draws")
-    n, m = gp.n, gp.m
-    masks = plan_masks(plan, n, m)[0]
-    rng = np.random.default_rng(seed)
+    masks = plan_masks(plan, gp.n, gp.m)[0]
     rejections = 0
-    for _ in range(draws):
-        g = _gaussian_pair_matrix(gp, rng)
-        _, reject = decide(masked_statistics(g, n, m, masks), alpha)
-        rejections += bool(reject)
+    for stats in _limit_statistics(gp, masks, draws, seed):
+        rejections += int(np.count_nonzero(decide(stats, alpha)[1]))
     rate = rejections / draws
     se = math.sqrt(rate * (1.0 - rate) / draws)
     return rate, se

@@ -100,28 +100,37 @@ def _cmd_diagnose(args):
 
 def _cmd_asymptotics(args):
     spec = KernelSpec(args.kernel, args.gamma)
-    c = asymptotics.MomentConstants(
-        e_x=args.e_x, e_y=args.e_y, e_xy=args.e_xy,
-        v_x=args.v_x, v_y=args.v_y, v_xy=args.v_xy,
-    )
-    law = asymptotics.HypergeometricLaw(args.n, args.m)
+    n, m = args.n, args.m
+    try:
+        c = asymptotics.MomentConstants(
+            e_x=args.e_x, e_y=args.e_y, e_xy=args.e_xy,
+            v_x=args.v_x, v_y=args.v_y, v_xy=args.v_xy,
+        )
+        law = asymptotics.HypergeometricLaw(n, m)
+        rows = [
+            (w, asymptotics.f_w(n, m, w), asymptotics.mu_nw(n, m, w, c, spec),
+             asymptotics.sigma2_nw(n, m, w, c, spec), float(asymptotics.hypergeom_pmf(law, w)))
+            for w in law.support
+        ]
+    except ValueError as err:
+        raise SystemExit(f"hdtest asymptotics: {err}") from None
     print("w,f_w,mu_nw,sigma2_nw,pmf")
-    for w in law.support:
-        print(f"{w},{asymptotics.f_w(args.n, args.m, w):.10g},"
-              f"{asymptotics.mu_nw(args.n, args.m, w, c, spec):.10g},"
-              f"{asymptotics.sigma2_nw(args.n, args.m, w, c, spec):.10g},"
-              f"{float(asymptotics.hypergeom_pmf(law, w)):.10g}")
+    for w, *values in rows:
+        print(f"{w}," + ",".join(f"{v:.10g}" for v in values))
 
 
 def _cmd_powerlimit(args):
-    gp = asymptotics.GaussianProcessSpec(
-        n=args.n, m=args.m, v_xy=args.v_xy, v_x=args.v_x, v_y=args.v_y
-    )
-    if args.exact:
-        plan = PermutationPlan(mode="exact", seed=args.seed)
-    else:
-        plan = PermutationPlan(mode="monte-carlo", count=args.perms, seed=args.seed)
-    rate, se = asymptotics.power_limit_mc(gp, args.alpha, plan, args.draws, seed=args.seed)
+    try:
+        gp = asymptotics.GaussianProcessSpec(
+            n=args.n, m=args.m, v_xy=args.v_xy, v_x=args.v_x, v_y=args.v_y
+        )
+        if args.exact:
+            plan = PermutationPlan(mode="exact", seed=args.seed)
+        else:
+            plan = PermutationPlan(mode="monte-carlo", count=args.perms, seed=args.seed)
+        rate, se = asymptotics.power_limit_mc(gp, args.alpha, plan, args.draws, seed=args.seed)
+    except ValueError as err:
+        raise SystemExit(f"hdtest powerlimit: {err}") from None
     print(f"power_limit,{rate:.6g},se,{se:.6g}")
 
 

@@ -7,7 +7,8 @@ squared distances, is a Gram GEMM of the rows centred on row 0 (see
 :func:`psibar_matrix`: exactly symmetric, exact on integer-valued data and
 for duplicated rows); cityblock distances come from ``pdist``. One engine,
 :func:`masked_pair_sums`, gives the cross and within-group pair sums for a
-batch of group masks; the statistic and the diagnostics combine them.
+batch of group masks, over one matrix or a stack of them (the limit Monte
+Carlo's draws); the statistic and the diagnostics combine them.
 """
 
 from __future__ import annotations
@@ -161,6 +162,10 @@ def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
     matrix for each row of ``masks``, a (S, n+m) boolean array marking the
     positions that carry an X label, from one GEMM.
 
+    ``values`` may also be a (..., n+m, n+m) stack of such matrices; the sums
+    then have shape (..., S), and each matrix's are bit for bit those of its
+    own call, since numpy's matmul makes one GEMM per matrix of the stack.
+
     For n = m each mask is evaluated through its representative with
     position 0 in group X, so the within sums may come swapped; anything
     built from them must be symmetric under the swap.
@@ -170,18 +175,19 @@ def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
         flip = ~masks[:, 0]
         masks = np.where(flip[:, None], ~masks, masks)
     g = masks.astype(float)
-    kg = g @ values  # (S, n+m)
-    within_x = np.einsum("si,si->s", kg, g) / 2.0
-    row_tot = kg.sum(axis=1)
+    kg = g @ values  # (..., S, n+m)
+    within_x = np.einsum("...si,si->...s", kg, g) / 2.0
+    row_tot = kg.sum(axis=-1)
     cross = row_tot - 2.0 * within_x
-    total = values.sum() / 2.0
+    total = values.sum(axis=(-2, -1))[..., None] / 2.0
     within_y = total - within_x - cross
     return cross, within_x, within_y
 
 
 def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> np.ndarray:
-    """Permuted statistics for a batch of group-X masks: each is a fixed
-    re-weighting of the kernel matrix entries, see :func:`masked_pair_sums`."""
+    """Permuted statistics for a batch of group-X masks, shape (..., S) for
+    ``values`` of shape (..., n+m, n+m): each is a fixed re-weighting of the
+    kernel matrix entries, see :func:`masked_pair_sums`."""
     cross, within_x, within_y = masked_pair_sums(values, n, m, masks)
     return (
         2.0 / (m * n) * cross

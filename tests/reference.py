@@ -12,7 +12,15 @@ from itertools import combinations
 
 import numpy as np
 
-from hdtest.statistic import KernelMatrix, LabeledSample, _check_perm, ed_statistic
+from hdtest.asymptotics import GaussianProcessSpec
+from hdtest.permutation import PermutationPlan, decide, plan_masks
+from hdtest.statistic import (
+    KernelMatrix,
+    LabeledSample,
+    _check_perm,
+    ed_statistic,
+    masked_statistics,
+)
 
 
 def group_mask(perm, n: int, m: int) -> np.ndarray:
@@ -76,3 +84,45 @@ def exact_masks_loop(n: int, m: int):
     for i, s in enumerate(sets):
         masks[i, list(s)] = True
     return masks, math.factorial(n) * math.factorial(m)
+
+
+def gaussian_pair_matrix(gp: GaussianProcessSpec, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric matrix of limiting pair contributions: cross block i.i.d.
+    N(0, v_xy), within-X block N(0, v_x), within-Y block N(0, v_y)."""
+    n, m = gp.n, gp.m
+    total = n + m
+    g = np.zeros((total, total))
+    b = rng.normal(scale=math.sqrt(gp.v_xy), size=(n, m)) if gp.v_xy > 0 else np.zeros((n, m))
+    g[:n, n:] = b
+    g[n:, :n] = b.T
+    for (lo, hi, v) in ((0, n, gp.v_x), (n, total, gp.v_y)):
+        k = hi - lo
+        iu = np.triu_indices(k, 1)
+        block = np.zeros((k, k))
+        if v > 0:
+            vals = rng.normal(scale=math.sqrt(v), size=iu[0].size)
+            block[iu] = vals
+            block += block.T
+        g[lo:hi, lo:hi] = block
+    return g
+
+
+def power_limit_mc_loop(
+    gp: GaussianProcessSpec, alpha: float, plan: PermutationPlan, draws: int, seed: int = 0
+):
+    """``power_limit_mc`` one draw at a time: one pair matrix, one masked
+    GEMM and one ``decide`` per draw. Returns (estimate, standard error,
+    the (draws, S) statistics)."""
+    n, m = gp.n, gp.m
+    masks = plan_masks(plan, n, m)[0]
+    rng = np.random.default_rng(seed)
+    stats = np.empty((draws, masks.shape[0]))
+    rejections = 0
+    for d in range(draws):
+        g = gaussian_pair_matrix(gp, rng)
+        stats[d] = masked_statistics(g, n, m, masks)
+        _, reject = decide(stats[d], alpha)
+        rejections += bool(reject)
+    rate = rejections / draws
+    se = math.sqrt(rate * (1.0 - rate) / draws)
+    return rate, se, stats

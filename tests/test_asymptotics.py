@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hdtest import asymptotics
 from hdtest.asymptotics import (
     GaussianProcessSpec,
     HypergeometricLaw,
@@ -19,7 +20,9 @@ from hdtest.asymptotics import (
     sigma2_nw,
 )
 from hdtest.kernels import KernelSpec, phi, phi_prime
-from hdtest.permutation import PermutationPlan, s_w_cardinality
+from hdtest.permutation import PermutationPlan, exact_masks, plan_masks, s_w_cardinality
+from hdtest.statistic import masked_statistics
+from tests.reference import power_limit_mc_loop
 
 
 def grouped_sigma2(n, m, w, c, spec):
@@ -152,6 +155,10 @@ class TestSigma2NW:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             MomentConstants(1.0, 1.0, 1.0, -0.1, 1.0, 1.0)
+
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            MomentConstants(1.0, 1.0, 1.0, math.nan, 1.0, 1.0)
 
 
 class TestHypergeometric:
@@ -313,3 +320,70 @@ class TestPowerLimitMC:
         a = power_limit_mc(gp, 0.05, plan, 1500, seed=3)
         b = power_limit_mc(gp, 0.05, plan, 1500, seed=3)
         assert a == b
+
+    def test_group_of_one_rejected(self):
+        with pytest.raises(ValueError, match="n, m >= 2"):
+            GaussianProcessSpec(1, 3, 1.0, 1.0, 1.0)
+
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianProcessSpec(3, 3, 1.0, math.nan, 1.0)
+
+    def test_infinite_variance_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianProcessSpec(3, 3, math.inf, 1.0, 1.0)
+
+
+def _batched_statistics(gp, plan, draws, seed):
+    masks = plan_masks(plan, gp.n, gp.m)[0]
+    return list(asymptotics._limit_statistics(gp, masks, draws, seed))
+
+
+class TestBatchedLimitMC:
+    """The batched limit Monte Carlo against the per-draw loop of
+    ``tests.reference``: the same statistics and estimates, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "args, plan, draws, seed",
+        [
+            # criterion 09
+            ((3, 3, 1.0, 1.0, 1.0), PermutationPlan(mode="exact"), 20000, 9),
+            # the seeds of TestPowerLimitMC
+            ((3, 3, 0.0, 0.0, 0.0), PermutationPlan(mode="exact"), 1000, 0),
+            ((3, 3, 4.0, 1.0, 1.0), PermutationPlan(mode="exact"), 5000, 100),
+            ((3, 3, 4.0, 1.0, 1.0), PermutationPlan(mode="exact"), 5000, 200),
+            ((3, 3, 4.0, 1.0, 1.0), PermutationPlan(mode="exact"), 5000, 42),
+            ((3, 4, 2.0, 1.0, 0.5), PermutationPlan(count=60, seed=7), 1500, 3),
+            # n != m with a zero-variance X block, and a zero cross block
+            ((4, 6, 1.0, 0.0, 2.0), PermutationPlan(mode="exact"), 1000, 11),
+            ((5, 3, 0.0, 1.0, 2.0), PermutationPlan(mode="exact"), 1000, 12),
+            # several batches and a remainder
+            ((10, 10, 1.0, 1.0, 1.0), PermutationPlan(count=300, seed=3), 1000, 3),
+        ],
+    )
+    def test_matches_per_draw_loop(self, args, plan, draws, seed):
+        gp = GaussianProcessSpec(*args)
+        rate, se, loop_stats = power_limit_mc_loop(gp, 0.05, plan, draws, seed=seed)
+        assert np.array_equal(np.concatenate(_batched_statistics(gp, plan, draws, seed)),
+                              loop_stats)
+        assert power_limit_mc(gp, 0.05, plan, draws, seed=seed) == (rate, se)
+
+    def test_batches_bound_memory(self):
+        gp = GaussianProcessSpec(10, 10, 1.0, 1.0, 1.0)
+        batches = _batched_statistics(gp, PermutationPlan(count=300, seed=3), 1000, 3)
+        sizes = [len(b) for b in batches]
+        assert len(set(sizes[:-1])) == 1 and 0 < sizes[-1] < sizes[0]
+        assert sizes[0] * 300 * 20 <= asymptotics._BATCH_ENTRIES
+
+    def test_mask_and_complement_tie_exactly(self):
+        # n = m: a mask and its complement give the same statistic bit for
+        # bit in every draw, so the exact 3 x 3 identity never strictly
+        # exceeds its critical value
+        n = 3
+        gp = GaussianProcessSpec(n, n, 1.0, 1.0, 1.0)
+        masks = exact_masks(n, n)[0]
+        rows = {m.tobytes(): i for i, m in enumerate(masks)}
+        complement = [rows[(~m).tobytes()] for m in masks]
+        g = asymptotics._gaussian_pair_matrices(gp, np.random.default_rng(9), 500)
+        stats = masked_statistics(g, n, n, masks)
+        assert np.array_equal(stats, stats[:, complement])

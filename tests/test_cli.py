@@ -93,6 +93,15 @@ class TestAsymptotics:
         first = lines[1].split(",")
         assert float(first[1]) == 1.0  # f(0)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--v-x", "nan"], "variances must be finite"),
+        (["--e-xy", "inf"], "means must be finite"),
+    ])
+    def test_bad_constants_exit_with_one_line(self, argv, message):
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(["asymptotics", "--n", "4", "--m", "6", *argv])
+        assert "\n" not in str(exc.value)
+
 
 class TestPowerlimit:
     def test_runs_exact(self, capsys):
@@ -102,6 +111,21 @@ class TestPowerlimit:
              "--draws", "1000", "--seed", "5"],
         )
         assert out.startswith("power_limit,")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "10", "--m", "10", "--exact"], "exact enumeration needs"),
+        (["--n", "3", "--m", "3", "--draws", "100"], "at least 1000 draws"),
+        (["--n", "3", "--m", "3", "--alpha", "1.5"], "alpha must be in"),
+        (["--n", "3", "--m", "3", "--perms", "0"], "count must be positive"),
+        (["--n", "1", "--m", "3"], "n, m >= 2"),
+        (["--n", "3", "--m", "3", "--v-x", "nan"], "variances must be finite"),
+        (["--n", "3", "--m", "3", "--v-xy", "inf"], "variances must be finite"),
+    ])
+    def test_user_errors_exit_with_one_line(self, argv, message):
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(["powerlimit", *argv])
+        assert str(exc.value).startswith("hdtest powerlimit: ")
+        assert "\n" not in str(exc.value)
 
 
 class TestStudyCommands:

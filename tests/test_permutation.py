@@ -305,9 +305,14 @@ def _observed(sample, spec) -> float:
     return permutation_test(sample, spec, plan=PermutationPlan(count=1)).statistic
 
 
-_SPLIT_SAMPLES = awkward_data().flatmap(
-    lambda d: st.integers(2, len(d) - 2).map(lambda n: LabeledSample(d, n, len(d) - n))
-)
+def _split(data):
+    return data.flatmap(
+        lambda d: st.integers(2, len(d) - 2).map(lambda n: LabeledSample(d, n, len(d) - n))
+    )
+
+
+_SPLIT_SAMPLES = _split(awkward_data())
+_SMALL_SPLIT_SAMPLES = _split(awkward_data(max_rows=14))
 _BALANCED_SAMPLES = awkward_data().map(
     lambda d: LabeledSample(d[: len(d) // 2 * 2], len(d) // 2, len(d) // 2)
 )
@@ -349,3 +354,21 @@ class TestPropertiesOnAwkwardData:
         spec = KernelSpec(family)
         gap = abs(_observed(sample, spec) - _observed(swapped, spec))
         assert gap <= 1e-12 * _weighted_abs_sum(sample, spec)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        sample=_SMALL_SPLIT_SAMPLES,
+        family=st.sampled_from(FAMILIES),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.25]) | st.floats(0.001, 0.999),
+    )
+    def test_exact_size_at_most_alpha(self, sample, family, alpha):
+        # whichever exact relabelling is observed, the test rejects only when
+        # its statistic strictly exceeds the one critical value: at most
+        # floor(alpha S) of the S relabellings do
+        spec = KernelSpec(family)
+        plan = PermutationPlan(mode="exact")
+        res = permutation_test(sample, spec, alpha=alpha, plan=plan)
+        masks = plan_masks(plan, sample.n, sample.m)[0]
+        stats = masked_statistics(build_kernel_matrix(sample, spec).values,
+                                  sample.n, sample.m, masks)
+        assert np.count_nonzero(stats > res.critical_value) <= math.floor(alpha * len(masks))

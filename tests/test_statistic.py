@@ -6,11 +6,13 @@ from scipy.spatial.distance import pdist, squareform
 from hdtest import statistic
 from hdtest.datagen import ScenarioConfig, generate
 from hdtest.kernels import FAMILIES, KernelSpec
+from hdtest.permutation import exact_masks, sample_masks
 from hdtest.statistic import (
     LabeledSample,
     build_kernel_matrix,
     ed_statistic,
     kernel_matrix_from_psibar,
+    masked_pair_sums,
     masked_statistics,
     psibar_matrix,
 )
@@ -241,6 +243,26 @@ class TestMaskedStatistics:
             assert row == pytest.approx(
                 ed_statistic_permuted(km, perm), rel=1e-10, abs=1e-12
             )
+
+    @pytest.mark.parametrize("n, m", [(3, 5), (4, 4), (6, 6), (7, 2)])
+    def test_stack_matches_one_call_per_matrix(self, n, m):
+        # a (D, N, N) stack gives bit for bit the sums of D separate calls
+        rng = np.random.default_rng(n * 10 + m)
+        stack = np.array([
+            build_kernel_matrix(
+                LabeledSample(rng.standard_normal((n + m, 3)) * 10.0**k, n, m),
+                KernelSpec(FAMILIES[k % 4]),
+            ).values
+            for k in range(6)
+        ])
+        for masks in (exact_masks(n, m)[0], sample_masks(n, m, 40, n + m)):
+            batched = masked_pair_sums(stack, n, m, masks)
+            for d, values in enumerate(stack):
+                for got, want in zip(batched, masked_pair_sums(values, n, m, masks)):
+                    assert np.array_equal(got[d], want)
+            stats = masked_statistics(stack, n, m, masks)
+            assert stats.shape == (len(stack), len(masks))
+            assert np.array_equal(stats[2], masked_statistics(stack[2], n, m, masks))
 
 
 class TestPermuteRows:
