@@ -19,7 +19,7 @@ from .diagnostics import (
     discrepancy_report,
     estimate_moment_constants,
 )
-from .kernels import FAMILIES, KernelSpec, kernel_eval, phi, phi_prime, psi_bar
+from .kernels import FAMILIES, KernelSpec, phi, phi_prime
 from .permutation import PermutationPlan, TestResult, permutation_test
 from .statistic import KernelMatrix, LabeledSample, build_kernel_matrix, ed_statistic
 from .harness import (
@@ -53,7 +53,6 @@ __all__ = [
     "f_w",
     "generate",
     "hypergeom_pmf",
-    "kernel_eval",
     "load_delimited",
     "mean_gap",
     "mixture_normal_cdf",
@@ -62,7 +61,6 @@ __all__ = [
     "phi",
     "phi_prime",
     "power_limit_mc",
-    "psi_bar",
     "run_power_study",
     "run_realdata_study",
     "sigma2_hdmss",

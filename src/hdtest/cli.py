@@ -101,36 +101,30 @@ def _cmd_diagnose(args):
 def _cmd_asymptotics(args):
     spec = KernelSpec(args.kernel, args.gamma)
     n, m = args.n, args.m
-    try:
-        c = asymptotics.MomentConstants(
-            e_x=args.e_x, e_y=args.e_y, e_xy=args.e_xy,
-            v_x=args.v_x, v_y=args.v_y, v_xy=args.v_xy,
-        )
-        law = asymptotics.HypergeometricLaw(n, m)
-        rows = [
-            (w, asymptotics.f_w(n, m, w), asymptotics.mu_nw(n, m, w, c, spec),
-             asymptotics.sigma2_nw(n, m, w, c, spec), float(asymptotics.hypergeom_pmf(law, w)))
-            for w in law.support
-        ]
-    except ValueError as err:
-        raise SystemExit(f"hdtest asymptotics: {err}") from None
+    c = asymptotics.MomentConstants(
+        e_x=args.e_x, e_y=args.e_y, e_xy=args.e_xy,
+        v_x=args.v_x, v_y=args.v_y, v_xy=args.v_xy,
+    )
+    law = asymptotics.HypergeometricLaw(n, m)
+    rows = [
+        (w, asymptotics.f_w(n, m, w), asymptotics.mu_nw(n, m, w, c, spec),
+         asymptotics.sigma2_nw(n, m, w, c, spec), float(asymptotics.hypergeom_pmf(law, w)))
+        for w in law.support
+    ]
     print("w,f_w,mu_nw,sigma2_nw,pmf")
     for w, *values in rows:
         print(f"{w}," + ",".join(f"{v:.10g}" for v in values))
 
 
 def _cmd_powerlimit(args):
-    try:
-        gp = asymptotics.GaussianProcessSpec(
-            n=args.n, m=args.m, v_xy=args.v_xy, v_x=args.v_x, v_y=args.v_y
-        )
-        if args.exact:
-            plan = PermutationPlan(mode="exact", seed=args.seed)
-        else:
-            plan = PermutationPlan(mode="monte-carlo", count=args.perms, seed=args.seed)
-        rate, se = asymptotics.power_limit_mc(gp, args.alpha, plan, args.draws, seed=args.seed)
-    except ValueError as err:
-        raise SystemExit(f"hdtest powerlimit: {err}") from None
+    gp = asymptotics.GaussianProcessSpec(
+        n=args.n, m=args.m, v_xy=args.v_xy, v_x=args.v_x, v_y=args.v_y
+    )
+    if args.exact:
+        plan = PermutationPlan(mode="exact", seed=args.seed)
+    else:
+        plan = PermutationPlan(mode="monte-carlo", count=args.perms, seed=args.seed)
+    rate, se = asymptotics.power_limit_mc(gp, args.alpha, plan, args.draws, seed=args.seed)
     print(f"power_limit,{rate:.6g},se,{se:.6g}")
 
 
@@ -266,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ValueError as err:
+        # bad arguments and bad data end in one line, not a traceback
+        raise SystemExit(f"hdtest {args.command}: {err}") from None
     return 0
 
 

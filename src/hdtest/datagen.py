@@ -35,6 +35,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}")
+        if self.p < 1:
+            raise ValueError("dimension p must be at least 1")
+        if self.n < 2 or self.m < 2:
+            raise ValueError("need at least 2 observations per group")
         if not -1 < self.rho < 1:
             raise ValueError("rho must be in (-1, 1)")
         if not 0 <= self.beta <= 1:

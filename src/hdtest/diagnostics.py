@@ -32,25 +32,6 @@ class DiscrepancyReport:
     regime_hint: str
 
 
-def mean_variance_gaps(sample: LabeledSample) -> tuple[float, float]:
-    """Averaged squared mean difference and absolute averaged variance
-    difference across coordinates (plug-in estimates)."""
-    x, y = sample.x, sample.y
-    mg = float(np.mean((x.mean(axis=0) - y.mean(axis=0)) ** 2))
-    vg = float(abs(np.mean(x.var(axis=0, ddof=1) - y.var(axis=0, ddof=1))))
-    return mg, vg
-
-
-def marginal_energy_sum(sample: LabeledSample) -> float:
-    """Average over coordinates of the univariate energy-distance
-    U-statistic; algebraically identical to, and computed as, the pooled
-    statistic with the l1 kernel."""
-    # phi is the identity for l1, so the averaged distances are the kernel
-    pb = psibar_matrix(sample.data, squared=False)
-    identity = np.arange(sample.n + sample.m)[None, :] < sample.n
-    return float(masked_statistics(pb, sample.n, sample.m, identity)[0])
-
-
 def _cov_gap(sq: np.ndarray, n: int, m: int, p: int) -> float:
     """cov_gap from the averaged squared distances ``sq`` of the pooled rows.
     The double-centred blocks of ``sq`` are -2/p times those of the Gram
@@ -63,23 +44,6 @@ def _cov_gap(sq: np.ndarray, n: int, m: int, p: int) -> float:
     )
     gap = xx / (n - 1) ** 2 + yy / (m - 1) ** 2 - 2.0 * xy / ((n - 1) * (m - 1))
     return float(max(gap, 0.0) * p / 4.0)
-
-
-def cov_gap(sample: LabeledSample) -> float:
-    """Squared Frobenius distance between group sample covariances, scaled
-    by 1/p, without forming either p x p covariance."""
-    return _cov_gap(psibar_matrix(sample.data, squared=True), sample.n, sample.m, sample.p)
-
-
-def analytic_vxy_quadratic(cov_x: np.ndarray, cov_y: np.ndarray) -> float:
-    """(4/p) sum_{u,v} cov_x[u,v] * cov_y[u,v]; the population cross-pair
-    variance for squared-difference coordinate distances."""
-    cov_x = np.asarray(cov_x, dtype=float)
-    cov_y = np.asarray(cov_y, dtype=float)
-    if cov_x.shape != cov_y.shape or cov_x.ndim != 2 or cov_x.shape[0] != cov_x.shape[1]:
-        raise ValueError("covariance matrices must be square and of equal shape")
-    p = cov_x.shape[0]
-    return float(4.0 * np.sum(cov_x * cov_y) / p)
 
 
 def _psibar_blocks(sample: LabeledSample, spec: KernelSpec):
@@ -147,26 +111,6 @@ def estimate_moment_constants(sample: LabeledSample, spec: KernelSpec):
     )
 
 
-def l2_moment_estimates(sample: LabeledSample, spec: KernelSpec):
-    """Empirical mean squares of the centered averaged distance over
-    distinct pairs: (alpha^2_x, alpha^2_y, alpha^2_xy).
-
-    Multiplying by sqrt(p) indicates whether the remainder-control rates
-    behind the normal limit are plausible for this data.
-    """
-    pxx, pyy, pxy = _psibar_blocks(sample, spec)
-    n, m = sample.n, sample.m
-    iux = np.triu_indices(n, 1)
-    iuy = np.triu_indices(m, 1)
-    e_x = pxx[iux].mean()
-    e_y = pyy[iuy].mean()
-    e_xy = pxy.mean()
-    ax2 = float(np.mean((pxx[iux] - e_x) ** 2))
-    ay2 = float(np.mean((pyy[iuy] - e_y) ** 2))
-    axy2 = float(np.mean((pxy - e_xy) ** 2))
-    return ax2, ay2, axy2
-
-
 def discrepancy_report(
     sample: LabeledSample, null_reps: int = 50, seed: int = 0
 ) -> DiscrepancyReport:
@@ -175,6 +119,8 @@ def discrepancy_report(
     The hint compares each measure against its spread under random group
     relabellings of the same data; it is a heuristic, not a test.
     """
+    if null_reps < 1:
+        raise ValueError("null_reps must be >= 1")
     n, m = sample.n, sample.m
     rng = np.random.default_rng(seed)
     # row 0 is the observed grouping, row 1+r the r-th relabelling, whose

@@ -25,12 +25,17 @@ import numpy as np
 from .datagen import ScenarioConfig, generate
 from .kernels import FAMILIES, KernelSpec
 from .permutation import PermutationPlan, decide, plan_masks
-from .statistic import (
-    LabeledSample,
-    kernel_matrix_from_psibar,
-    masked_statistics,
-    psibar_matrix,
-)
+from .statistic import LabeledSample, kernel_statistics
+
+
+def _check_study(alpha: float, replications: int, permutations: int) -> None:
+    """Refuse study arguments before any replication runs, not in a worker."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    if permutations < 20:
+        raise ValueError("need at least 20 permutations")
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,7 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.permutations < 20:
-            raise ValueError("need at least 20 permutations")
+        _check_study(self.alpha, self.replications, self.permutations)
         if not self.scenarios:
             raise ValueError("empty scenario grid")
 
@@ -122,26 +124,10 @@ def multi_kernel_rejections(
     permutations: int,
     seed: int,
 ) -> dict:
-    """Run the permutation test for several kernels on one dataset.
-
-    The averaged-distance matrices (squared and absolute) are built once
-    and the same S-1 random permutations are shared across kernels.
-    """
-    n, m = sample.n, sample.m
-    pb = {}
-    if any(k.uses_squared_differences for k in kernels):
-        pb[True] = psibar_matrix(sample.data, squared=True)
-    if any(not k.uses_squared_differences for k in kernels):
-        pb[False] = psibar_matrix(sample.data, squared=False)
-    masks, _ = plan_masks(PermutationPlan(count=permutations, seed=seed), n, m)
-    stats = [
-        masked_statistics(
-            kernel_matrix_from_psibar(pb[spec.uses_squared_differences], spec, n, m).values,
-            n, m, masks,
-        )
-        for spec in kernels
-    ]
-    _, reject = decide(np.stack(stats), alpha)
+    """Run the permutation test for several kernels on one dataset, all
+    kernels sharing the same S-1 random permutations."""
+    masks, _ = plan_masks(PermutationPlan(count=permutations, seed=seed), sample.n, sample.m)
+    _, reject = decide(kernel_statistics(sample, kernels, masks), alpha)
     return {spec.family: bool(r) for spec, r in zip(kernels, reject)}
 
 
@@ -240,6 +226,7 @@ def run_realdata_study(
     two in sorted order); passing the same label twice yields a
     null-by-construction control study.
     """
+    _check_study(alpha, replications, permutations)
     keys = sorted(dataset.classes)
     if labels is None:
         labels = (keys[0], keys[1])

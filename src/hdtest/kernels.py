@@ -53,20 +53,6 @@ class KernelSpec:
         return self.family in _SQUARED_PSI
 
 
-def psi_bar(x, y, spec: KernelSpec) -> float:
-    """Average per-coordinate distance (1/p) * sum_u psi(x_u, y_u)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"inputs must be 1-d vectors of equal length, got {x.shape} and {y.shape}")
-    if x.size == 0:
-        raise ValueError("dimension must be at least 1")
-    d = x - y
-    if spec.uses_squared_differences:
-        return float(np.mean(d * d))
-    return float(np.mean(np.abs(d)))
-
-
 def phi(spec: KernelSpec, t):
     """Outer transform applied to the averaged distance; works elementwise."""
     t = np.asarray(t, dtype=float)
@@ -81,11 +67,6 @@ def phi(spec: KernelSpec, t):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def kernel_eval(x, y, spec: KernelSpec) -> float:
-    """Evaluate k(x, y) = phi(psi_bar(x, y))."""
-    return phi(spec, psi_bar(x, y, spec))
 
 
 def phi_prime(spec: KernelSpec, t: float) -> float:

@@ -18,7 +18,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .kernels import KernelSpec
-from .statistic import LabeledSample, _check_perm, build_kernel_matrix, masked_statistics
+from .statistic import LabeledSample, kernel_statistics
 
 #: exact enumeration builds at most this many group-X masks
 EXACT_MASK_CAP = 100_000
@@ -46,20 +46,6 @@ class TestResult:
     alpha: float
     plan: PermutationPlan
     w_histogram: dict = field(default_factory=dict)
-
-
-def n_of_gamma(perm, n: int, m: int) -> int:
-    """Number of first-block positions that a permutation sends into the
-    second block."""
-    perm = _check_perm(perm, n + m)
-    return int(np.count_nonzero(perm[:n] >= n))
-
-
-def s_w_cardinality(n: int, m: int, w: int) -> int:
-    """|S_w| = C(m, w) * C(n, n-w) * n! * m!, exact."""
-    if not 0 <= w <= min(n, m):
-        raise ValueError(f"w={w} outside 0..min(n, m)")
-    return math.comb(m, w) * math.comb(n, n - w) * math.factorial(n) * math.factorial(m)
 
 
 def exact_masks(n: int, m: int):
@@ -143,8 +129,7 @@ def permutation_test(
     if plan is None:
         plan = PermutationPlan()
     masks, mult = plan_masks(plan, sample.n, sample.m)
-    km = build_kernel_matrix(sample, spec)
-    stats = masked_statistics(km.values, km.n, km.m, masks)
+    stats = kernel_statistics(sample, (spec,), masks)[0]
     crit, reject = decide(stats, alpha)
     # the observed statistic is the identity's own entry, so it counts in
     # its own tail and the p-value can never fall below 1/S
@@ -156,5 +141,5 @@ def permutation_test(
         reject=bool(reject),
         alpha=alpha,
         plan=plan,
-        w_histogram=_w_histogram(masks, km.n, mult),
+        w_histogram=_w_histogram(masks, sample.n, mult),
     )

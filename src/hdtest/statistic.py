@@ -7,8 +7,10 @@ squared distances, is a Gram GEMM of the rows centred on row 0 (see
 :func:`psibar_matrix`: exactly symmetric, exact on integer-valued data and
 for duplicated rows); cityblock distances come from ``pdist``. One engine,
 :func:`masked_pair_sums`, gives the cross and within-group pair sums for a
-batch of group masks, over one matrix or a stack of them (the limit Monte
-Carlo's draws); the statistic and the diagnostics combine them.
+batch of group masks, over one matrix or a stack of them; the statistic and
+the diagnostics combine them. :func:`kernel_statistics` is the one path from
+a sample and its kernels to the permuted statistics, for the test and the
+studies alike.
 """
 
 from __future__ import annotations
@@ -133,13 +135,6 @@ def build_kernel_matrix(sample: LabeledSample, spec: KernelSpec) -> KernelMatrix
     return kernel_matrix_from_psibar(pb, spec, sample.n, sample.m)
 
 
-def _check_perm(perm, size: int) -> np.ndarray:
-    perm = np.asarray(perm, dtype=np.intp)
-    if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
-        raise ValueError(f"perm must be a permutation of 0..{size - 1}")
-    return perm
-
-
 def ed_statistic(km: KernelMatrix) -> float:
     """Unbiased estimator: 2*mean(cross) - mean(within X) - mean(within Y).
 
@@ -194,3 +189,24 @@ def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> 
         - 2.0 / (n * (n - 1)) * within_x
         - 2.0 / (m * (m - 1)) * within_y
     )
+
+
+def kernel_statistics(sample: LabeledSample, kernels, masks: np.ndarray) -> np.ndarray:
+    """(K, S) permuted statistics of ``sample`` for the K ``kernels`` under
+    the S group-X ``masks``.
+
+    Each averaged-distance matrix the kernels need (squared or cityblock) is
+    built once, and one :func:`masked_statistics` call evaluates the stack of
+    the K kernel matrices; each row is bit for bit that kernel's own 2-d call.
+    """
+    pb = {}
+    for spec in kernels:
+        squared = spec.uses_squared_differences
+        if squared not in pb:
+            pb[squared] = psibar_matrix(sample.data, squared)
+    values = np.stack([
+        kernel_matrix_from_psibar(pb[spec.uses_squared_differences], spec,
+                                  sample.n, sample.m).values
+        for spec in kernels
+    ])
+    return masked_statistics(values, sample.n, sample.m, masks)

@@ -1,7 +1,10 @@
 """Reference implementations that the tests compare the package against.
 
-They evaluate one permutation at a time, or build masks in plain Python
-loops, so they are slow but easy to check by eye.
+They evaluate one permutation at a time, one pair of points at a time, or
+build masks in plain Python loops, so they are slow but easy to check by
+eye. The per-pair kernel, the single-grouping diagnostics and the
+permutation counting helpers live here too: the package computes the same
+quantities only through its batched paths.
 """
 
 from __future__ import annotations
@@ -13,14 +16,23 @@ from itertools import combinations
 import numpy as np
 
 from hdtest.asymptotics import GaussianProcessSpec
+from hdtest.diagnostics import _cov_gap, _psibar_blocks
+from hdtest.kernels import KernelSpec, phi
 from hdtest.permutation import PermutationPlan, decide, plan_masks
 from hdtest.statistic import (
     KernelMatrix,
     LabeledSample,
-    _check_perm,
     ed_statistic,
     masked_statistics,
+    psibar_matrix,
 )
+
+
+def _check_perm(perm, size: int) -> np.ndarray:
+    perm = np.asarray(perm, dtype=np.intp)
+    if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
+        raise ValueError(f"perm must be a permutation of 0..{size - 1}")
+    return perm
 
 
 def group_mask(perm, n: int, m: int) -> np.ndarray:
@@ -126,3 +138,92 @@ def power_limit_mc_loop(
     rate = rejections / draws
     se = math.sqrt(rate * (1.0 - rate) / draws)
     return rate, se, stats
+
+
+def n_of_gamma(perm, n: int, m: int) -> int:
+    """Number of first-block positions that a permutation sends into the
+    second block."""
+    perm = _check_perm(perm, n + m)
+    return int(np.count_nonzero(perm[:n] >= n))
+
+
+def s_w_cardinality(n: int, m: int, w: int) -> int:
+    """|S_w| = C(m, w) * C(n, n-w) * n! * m!, exact."""
+    if not 0 <= w <= min(n, m):
+        raise ValueError(f"w={w} outside 0..min(n, m)")
+    return math.comb(m, w) * math.comb(n, n - w) * math.factorial(n) * math.factorial(m)
+
+
+def psi_bar(x, y, spec: KernelSpec) -> float:
+    """Average per-coordinate distance (1/p) * sum_u psi(x_u, y_u)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"inputs must be 1-d vectors of equal length, got {x.shape} and {y.shape}")
+    if x.size == 0:
+        raise ValueError("dimension must be at least 1")
+    d = x - y
+    if spec.uses_squared_differences:
+        return float(np.mean(d * d))
+    return float(np.mean(np.abs(d)))
+
+
+def kernel_eval(x, y, spec: KernelSpec) -> float:
+    """Evaluate k(x, y) = phi(psi_bar(x, y))."""
+    return phi(spec, psi_bar(x, y, spec))
+
+
+def mean_variance_gaps(sample: LabeledSample) -> tuple[float, float]:
+    """Averaged squared mean difference and absolute averaged variance
+    difference across coordinates (plug-in estimates)."""
+    x, y = sample.x, sample.y
+    mg = float(np.mean((x.mean(axis=0) - y.mean(axis=0)) ** 2))
+    vg = float(abs(np.mean(x.var(axis=0, ddof=1) - y.var(axis=0, ddof=1))))
+    return mg, vg
+
+
+def marginal_energy_sum(sample: LabeledSample) -> float:
+    """Average over coordinates of the univariate energy-distance
+    U-statistic; algebraically identical to, and computed as, the pooled
+    statistic with the l1 kernel."""
+    # phi is the identity for l1, so the averaged distances are the kernel
+    pb = psibar_matrix(sample.data, squared=False)
+    identity = np.arange(sample.n + sample.m)[None, :] < sample.n
+    return float(masked_statistics(pb, sample.n, sample.m, identity)[0])
+
+
+def cov_gap(sample: LabeledSample) -> float:
+    """Squared Frobenius distance between group sample covariances, scaled
+    by 1/p, without forming either p x p covariance."""
+    return _cov_gap(psibar_matrix(sample.data, squared=True), sample.n, sample.m, sample.p)
+
+
+def analytic_vxy_quadratic(cov_x: np.ndarray, cov_y: np.ndarray) -> float:
+    """(4/p) sum_{u,v} cov_x[u,v] * cov_y[u,v]; the population cross-pair
+    variance for squared-difference coordinate distances."""
+    cov_x = np.asarray(cov_x, dtype=float)
+    cov_y = np.asarray(cov_y, dtype=float)
+    if cov_x.shape != cov_y.shape or cov_x.ndim != 2 or cov_x.shape[0] != cov_x.shape[1]:
+        raise ValueError("covariance matrices must be square and of equal shape")
+    p = cov_x.shape[0]
+    return float(4.0 * np.sum(cov_x * cov_y) / p)
+
+
+def l2_moment_estimates(sample: LabeledSample, spec: KernelSpec):
+    """Empirical mean squares of the centered averaged distance over
+    distinct pairs: (alpha^2_x, alpha^2_y, alpha^2_xy).
+
+    Multiplying by sqrt(p) indicates whether the remainder-control rates
+    behind the normal limit are plausible for this data.
+    """
+    pxx, pyy, pxy = _psibar_blocks(sample, spec)
+    n, m = sample.n, sample.m
+    iux = np.triu_indices(n, 1)
+    iuy = np.triu_indices(m, 1)
+    e_x = pxx[iux].mean()
+    e_y = pyy[iuy].mean()
+    e_xy = pxy.mean()
+    ax2 = float(np.mean((pxx[iux] - e_x) ** 2))
+    ay2 = float(np.mean((pyy[iuy] - e_y) ** 2))
+    axy2 = float(np.mean((pxy - e_xy) ** 2))
+    return ax2, ay2, axy2

@@ -25,17 +25,22 @@ from hdtest.asymptotics import (
     sigma2_nw,
 )
 from hdtest.datagen import ScenarioConfig
-from hdtest.diagnostics import analytic_vxy_quadratic
 from hdtest.harness import StudyConfig, run_power_study
 from hdtest.kernels import FAMILIES, KernelSpec
-from hdtest.permutation import PermutationPlan, n_of_gamma, plan_masks, s_w_cardinality
+from hdtest.permutation import PermutationPlan, plan_masks
 from hdtest.statistic import (
     LabeledSample,
     build_kernel_matrix,
     ed_statistic,
     masked_statistics,
 )
-from tests.reference import ed_statistic_permuted, permute_rows
+from tests.reference import (
+    analytic_vxy_quadratic,
+    ed_statistic_permuted,
+    n_of_gamma,
+    permute_rows,
+    s_w_cardinality,
+)
 from tests.test_asymptotics import grouped_sigma2
 
 ALL_KERNELS = tuple(KernelSpec(f) for f in FAMILIES)

@@ -20,9 +20,9 @@ from hdtest.asymptotics import (
     sigma2_nw,
 )
 from hdtest.kernels import KernelSpec, phi, phi_prime
-from hdtest.permutation import PermutationPlan, exact_masks, plan_masks, s_w_cardinality
+from hdtest.permutation import PermutationPlan, exact_masks, plan_masks
 from hdtest.statistic import masked_statistics
-from tests.reference import power_limit_mc_loop
+from tests.reference import power_limit_mc_loop, s_w_cardinality
 
 
 def grouped_sigma2(n, m, w, c, spec):

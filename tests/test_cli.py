@@ -180,3 +180,52 @@ class TestRealdataCommand:
              "--replications", "4", "--perms", "30", "--out", str(out_path)],
         )
         assert "wrote 8 rows" in out  # 2 sizes x 4 kernels
+
+
+class TestErrorBoundary:
+    """A ValueError from any command ends in one line naming the command."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(3)
+        csv_path = tmp_path / "s.csv"
+        np.savetxt(csv_path, rng.standard_normal((20, 4)), delimiter=",")
+        tsv_path = tmp_path / "d.tsv"
+        tsv_path.write_text("".join(
+            f"{label}\t" + "\t".join(f"{v:.4f}" for v in rng.standard_normal(4)) + "\n"
+            for label in "ab" for _ in range(8)
+        ))
+        study_path = tmp_path / "study.json"
+        study_path.write_text(json.dumps({
+            "scenarios": [{"example": "1", "p": 10, "n": 5, "m": 5}],
+            "kernels": ["l2"], "alpha": 1.5, "replications": 4, "permutations": 30,
+        }))
+        return {"csv": str(csv_path), "tsv": str(tsv_path), "study": str(study_path),
+                "out": str(tmp_path / "out.csv")}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["test", "{csv}", "--n", "10", "--alpha", "1.5"], "alpha must be in"),
+        (["test", "{csv}", "--n", "10", "--perms", "0"], "count must be positive"),
+        (["test", "{csv}", "--n", "10", "--exact"], "exact enumeration needs"),
+        (["test", "{csv}", "--n", "10", "--kernel", "gaussian", "--gamma", "0"],
+         "bandwidth must be positive"),
+        (["diagnose", "{csv}", "--n", "10", "--kernel", "laplacian", "--gamma", "-1"],
+         "bandwidth must be positive"),
+        (["gen", "--rho", "2", "--out", "{out}"], "rho must be in"),
+        (["gen", "--p", "0", "--out", "{out}"], "dimension p must be at least 1"),
+        (["gen", "--n", "1", "--out", "{out}"], "at least 2 observations"),
+        (["realdata", "--file", "{tsv}", "--sizes", "9", "--out", "{out}"],
+         "exceeds a class size"),
+        (["realdata", "--file", "{tsv}", "--sizes", "4", "--replications", "0",
+          "--out", "{out}"], "replications must be >= 1"),
+        (["realdata", "--file", "{tsv}", "--sizes", "4", "--perms", "0", "--out", "{out}"],
+         "at least 20 permutations"),
+        (["power", "--config", "{study}", "--jobs", "2", "--out", "{out}"],
+         "alpha must be in"),
+    ])
+    def test_value_error_exits_with_one_line(self, files, argv, message):
+        argv = [arg.format(**files) for arg in argv]
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(argv)
+        assert str(exc.value).startswith(f"hdtest {argv[0]}: ")
+        assert "\n" not in str(exc.value)

@@ -25,6 +25,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(example="1", p=10, n=5, m=5, innovation="cauchy")
 
+    @pytest.mark.parametrize("sizes, message", [
+        ({"p": 0, "n": 5, "m": 5}, "dimension"),
+        ({"p": 10, "n": 1, "m": 5}, "2 observations"),
+        ({"p": 10, "n": 5, "m": 1}, "2 observations"),
+    ])
+    def test_bad_sizes_refused_at_construction(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(example="1", **sizes)
+
 
 class TestArCorrelation:
     def test_rho_zero_identity(self):

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from hdtest.datagen import EXAMPLES, ScenarioConfig, ar_correlation, generate
-from hdtest.diagnostics import (
+from hdtest.diagnostics import discrepancy_report, estimate_moment_constants
+from hdtest.kernels import KernelSpec
+from hdtest.statistic import LabeledSample, build_kernel_matrix, ed_statistic, psibar_matrix
+from tests.reference import (
     analytic_vxy_quadratic,
     cov_gap,
-    discrepancy_report,
-    estimate_moment_constants,
     l2_moment_estimates,
     marginal_energy_sum,
     mean_variance_gaps,
 )
-from hdtest.kernels import KernelSpec
-from hdtest.statistic import LabeledSample, build_kernel_matrix, ed_statistic, psibar_matrix
 
 
 def _cov_gap_reference(sample):
@@ -174,6 +173,11 @@ class TestL2MomentEstimates:
 
 
 class TestDiscrepancyReport:
+    def test_no_relabellings_refused(self):
+        s = generate(ScenarioConfig("1", p=10, n=5, m=5))
+        with pytest.raises(ValueError, match="null_reps"):
+            discrepancy_report(s, null_reps=0)
+
     def test_null_data_hint(self):
         rng = np.random.default_rng(36)
         s = LabeledSample(rng.standard_normal((40, 30)), 20, 20)

@@ -27,6 +27,12 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(scenarios=scen, replications=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_alpha_outside_unit_interval(self, alpha):
+        scen = (ScenarioConfig(example="1", p=10, n=5, m=5),)
+        with pytest.raises(ValueError, match="alpha"):
+            StudyConfig(scenarios=scen, alpha=alpha)
+
 
 class TestRealDataset:
     def test_validation(self):
@@ -164,6 +170,20 @@ class TestRunRealdataStudy:
         # 2n = 60 rows is exactly one class, which a same-class control may use
         with pytest.raises(AssertionError, match="replication ran"):
             run_realdata_study(ds, [30], replications=2, permutations=40, labels=("a", "a"))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"replications": 0}, "replications"),
+        ({"permutations": 0}, "permutations"),
+        ({"alpha": 1.5}, "alpha"),
+    ])
+    def test_bad_arguments_rejected_before_any_replication(self, monkeypatch, kwargs, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran before the arguments were checked")
+
+        monkeypatch.setattr(harness, "multi_kernel_rejections", no_work)
+        args = {"replications": 2, "permutations": 40, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            run_realdata_study(self._dataset(), [10], **args)
 
     def test_deterministic_across_jobs(self):
         ds = self._dataset()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hdtest.kernels import FAMILIES, KernelSpec, kernel_eval, phi, phi_prime, psi_bar
+from hdtest.kernels import FAMILIES, KernelSpec, phi, phi_prime
+from tests.reference import kernel_eval, psi_bar
 
 
 class TestKernelSpec:

@@ -1,0 +1,43 @@
+"""Every public function of the package is either its API or used by it.
+
+A function that only the tests call is a reference implementation and
+belongs in ``tests/reference.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import hdtest
+
+SRC = Path(hdtest.__file__).parent
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names_read(trees) -> set:
+    """Every name and attribute read anywhere in the package; imports alone
+    do not count."""
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_public_functions_are_used_or_exported():
+    trees = _trees()
+    used = _names_read(trees) | set(hdtest.__all__)
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unused == []

@@ -11,14 +11,18 @@ from hdtest.permutation import (
     PermutationPlan,
     decide,
     exact_masks,
-    n_of_gamma,
     permutation_test,
     plan_masks,
-    s_w_cardinality,
     sample_masks,
 )
 from hdtest.statistic import LabeledSample, build_kernel_matrix, masked_statistics
-from tests.reference import ed_statistic_permuted, exact_masks_loop, sample_masks_loop
+from tests.reference import (
+    ed_statistic_permuted,
+    exact_masks_loop,
+    n_of_gamma,
+    s_w_cardinality,
+    sample_masks_loop,
+)
 from tests.strategies import awkward_data
 
 

@@ -12,6 +12,7 @@ from hdtest.statistic import (
     build_kernel_matrix,
     ed_statistic,
     kernel_matrix_from_psibar,
+    kernel_statistics,
     masked_pair_sums,
     masked_statistics,
     psibar_matrix,
@@ -263,6 +264,34 @@ class TestMaskedStatistics:
             stats = masked_statistics(stack, n, m, masks)
             assert stats.shape == (len(stack), len(masks))
             assert np.array_equal(stats[2], masked_statistics(stack[2], n, m, masks))
+
+
+class TestKernelStatistics:
+    @pytest.mark.parametrize("n, m", [(7, 4), (6, 6)])
+    def test_equals_one_call_per_kernel(self, n, m):
+        # the stacked call is bit for bit four 2-d calls, one per family
+        s = generate(ScenarioConfig("3i", p=40, n=n, m=m, beta=0.3, seed=n + m))
+        kernels = tuple(KernelSpec(f, 0.7) for f in FAMILIES)
+        for masks in (exact_masks(n, m)[0], sample_masks(n, m, 50, n * m)):
+            stats = kernel_statistics(s, kernels, masks)
+            assert stats.shape == (len(kernels), len(masks))
+            for row, spec in zip(stats, kernels):
+                want = masked_statistics(build_kernel_matrix(s, spec).values, n, m, masks)
+                assert np.array_equal(row, want)
+                assert np.array_equal(kernel_statistics(s, (spec,), masks)[0], want)
+
+    def test_builds_each_distance_matrix_once(self, monkeypatch):
+        calls = []
+
+        def counting(data, squared):
+            calls.append(squared)
+            return psibar_matrix(data, squared)
+
+        monkeypatch.setattr(statistic, "psibar_matrix", counting)
+        s = generate(ScenarioConfig("1", p=10, n=5, m=5))
+        kernels = tuple(KernelSpec(f) for f in FAMILIES)
+        kernel_statistics(s, kernels, sample_masks(5, 5, 20, 0))
+        assert sorted(calls) == [False, True]
 
 
 class TestPermuteRows:
