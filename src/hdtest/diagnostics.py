@@ -6,11 +6,12 @@ determine which power regime the permutation test falls into. The regime
 hint is advisory: the defining conditions are asymptotic rates that a
 single dataset cannot certify.
 
-A report evaluates one batch of group masks, the observed grouping in row
-0, through :func:`statistic.masked_pair_sums` over the squared distances
-(mean and variance gaps) and the l1 distances (marginal energy-distance
-sum); the double-centred blocks of the squared distances are Gram blocks of
-the centred rows and give the covariance gap. No array is p x p.
+A report runs each gap through the permutation test's own path: the masks
+of :func:`permutation.plan_masks`, :func:`statistic.masked_pair_sums` over
+the squared distances (mean and variance gaps), :func:`kernel_statistics`
+with the l1 kernel (marginal energy-distance sum) and :func:`decide`. The
+double-centred blocks of the squared distances are Gram blocks of the
+centred rows and give the covariance gap. No array is p x p.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import MomentConstants
 from .kernels import KernelSpec
-from .statistic import LabeledSample, masked_pair_sums, masked_statistics, psibar_matrix
+from .permutation import PermutationPlan, decide, plan_masks
+from .statistic import LabeledSample, kernel_statistics, masked_pair_sums, psibar_matrix
 
 
 @dataclass(frozen=True)
@@ -44,12 +47,6 @@ def _cov_gap(sq: np.ndarray, n: int, m: int, p: int) -> float:
     )
     gap = xx / (n - 1) ** 2 + yy / (m - 1) ** 2 - 2.0 * xy / ((n - 1) * (m - 1))
     return float(max(gap, 0.0) * p / 4.0)
-
-
-def _psibar_blocks(sample: LabeledSample, spec: KernelSpec):
-    pb = psibar_matrix(sample.data, spec.uses_squared_differences)
-    n = sample.n
-    return pb[:n, :n], pb[n:, n:], pb[:n, n:]
 
 
 def _within_centered_sq_mean(pb: np.ndarray, p: int) -> float:
@@ -92,12 +89,11 @@ def estimate_moment_constants(sample: LabeledSample, spec: KernelSpec):
     contributions, with the pair's own indices left out of the
     conditional-mean plug-ins to reduce bias.
     """
-    from .asymptotics import MomentConstants
-
     if sample.n < 4 or sample.m < 4:
         raise ValueError("moment-constant estimation needs n, m >= 4")
-    pxx, pyy, pxy = _psibar_blocks(sample, spec)
     n, m, p = sample.n, sample.m, sample.p
+    pb = psibar_matrix(sample.data, spec.uses_squared_differences)
+    pxx, pyy, pxy = pb[:n, :n], pb[n:, n:], pb[:n, n:]
     e_x = pxx.sum() / (n * (n - 1))
     e_y = pyy.sum() / (m * (m - 1))
     e_xy = pxy.mean()
@@ -116,35 +112,31 @@ def discrepancy_report(
 ) -> DiscrepancyReport:
     """All four discrepancy measures plus an advisory regime hint.
 
-    The hint compares each measure against its spread under random group
-    relabellings of the same data; it is a heuristic, not a test.
+    The hint flags a gap by the test's own rule, :func:`decide` at alpha =
+    0.05 over ``null_reps + 1`` groupings, the observed one included, so
+    below 19 relabellings it flags nothing. It is a heuristic, not a test.
     """
     if null_reps < 1:
         raise ValueError("null_reps must be >= 1")
     n, m = sample.n, sample.m
-    rng = np.random.default_rng(seed)
-    # row 0 is the observed grouping, row 1+r the r-th relabelling, whose
-    # first n entries name the rows that form group X
-    perms = [np.arange(n + m), *(rng.permutation(n + m) for _ in range(null_reps))]
-    masks = np.argsort(perms, axis=1) < n
+    masks, _ = plan_masks(PermutationPlan(count=null_reps + 1, seed=seed), n, m)
     # pair sums of ||x_i - x_j||^2 / p give each grouping's mean and variance gaps
     sq = psibar_matrix(sample.data, squared=True)
     cross, wx, wy = masked_pair_sums(sq, n, m, masks)
-    stats = np.column_stack([
+    stats = np.stack([
         np.maximum(cross / (n * m) - wx / n**2 - wy / m**2, 0.0),
         np.abs(wx / (n * (n - 1)) - wy / (m * (m - 1))),
-        # phi is the identity for l1, so the averaged distances are the kernel
-        masked_statistics(psibar_matrix(sample.data, squared=False), n, m, masks),
+        kernel_statistics(sample, (KernelSpec("l1"),), masks)[0],
     ])
-    mg, vg, med = map(float, stats[0])
-    mean_signal, var_signal, marginal_signal = stats[0] > np.quantile(stats[1:], 0.95, axis=0)
+    mean_signal, var_signal, marginal_signal = decide(stats, 0.05)[1]
     if mean_signal or var_signal:
         hint = "consistency-plausible (mean/variance gap above relabelling spread)"
     elif marginal_signal:
         hint = "l1-detectable (marginal distributions differ beyond mean/variance)"
     else:
         hint = "low-power-plausible (no marginal signal above relabelling spread)"
-    cg = _cov_gap(sq, n, m, sample.p)
+    mg, vg, med = map(float, stats[:, 0])
     return DiscrepancyReport(
-        mean_gap=mg, var_gap=vg, marginal_ed_sum=med, cov_gap=cg, regime_hint=hint
+        mean_gap=mg, var_gap=vg, marginal_ed_sum=med,
+        cov_gap=_cov_gap(sq, n, m, sample.p), regime_hint=hint,
     )

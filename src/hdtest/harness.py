@@ -124,11 +124,11 @@ def multi_kernel_rejections(
     permutations: int,
     seed: int,
 ) -> dict:
-    """Run the permutation test for several kernels on one dataset, all
+    """Each kernel's decision on one dataset, keyed by its label, all
     kernels sharing the same S-1 random permutations."""
     masks, _ = plan_masks(PermutationPlan(count=permutations, seed=seed), sample.n, sample.m)
     _, reject = decide(kernel_statistics(sample, kernels, masks), alpha)
-    return {spec.family: bool(r) for spec, r in zip(kernels, reject)}
+    return {spec.label: bool(r) for spec, r in zip(kernels, reject)}
 
 
 def _replication_seeds(master: int, grid: int, rep: int) -> tuple[int, int]:
@@ -139,7 +139,7 @@ def _replication_seeds(master: int, grid: int, rep: int) -> tuple[int, int]:
 
 
 def _count_rejections(args):
-    """Rejections per kernel family over one chunk of one grid point."""
+    """Rejections per kernel label over one chunk of one grid point."""
     sampler, grid_idx, rep_range, kernels, alpha, permutations, master = args
     counts = Counter()
     for rep in rep_range:
@@ -175,7 +175,7 @@ def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) 
                 counts.update(next(results))
             now = time.perf_counter()
             for spec in kernels:
-                table.add(label, spec.family, counts[spec.family] / replications,
+                table.add(label, spec.label, counts[spec.label] / replications,
                           replications, now - start)
             start = now
     return table

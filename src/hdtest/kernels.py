@@ -52,6 +52,13 @@ class KernelSpec:
     def uses_squared_differences(self) -> bool:
         return self.family in _SQUARED_PSI
 
+    @property
+    def label(self) -> str:
+        """Name in study results: the family, plus a non-default bandwidth."""
+        if self.family in ("gaussian", "laplacian") and self.gamma != 1.0:
+            return f"{self.family}(gamma={self.gamma:g})"
+        return self.family
+
 
 def phi(spec: KernelSpec, t):
     """Outer transform applied to the averaged distance; works elementwise."""

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from hdtest.asymptotics import GaussianProcessSpec
-from hdtest.diagnostics import _cov_gap, _psibar_blocks
+from hdtest.diagnostics import _cov_gap
 from hdtest.kernels import KernelSpec, phi
 from hdtest.permutation import PermutationPlan, decide, plan_masks
 from hdtest.statistic import (
@@ -216,8 +216,9 @@ def l2_moment_estimates(sample: LabeledSample, spec: KernelSpec):
     Multiplying by sqrt(p) indicates whether the remainder-control rates
     behind the normal limit are plausible for this data.
     """
-    pxx, pyy, pxy = _psibar_blocks(sample, spec)
     n, m = sample.n, sample.m
+    pb = psibar_matrix(sample.data, spec.uses_squared_differences)
+    pxx, pyy, pxy = pb[:n, :n], pb[n:, n:], pb[:n, n:]
     iux = np.triu_indices(n, 1)
     iuy = np.triu_indices(m, 1)
     e_x = pxx[iux].mean()

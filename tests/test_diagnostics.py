@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,20 @@ def _agreement_samples():
 
 
 AGREEMENT = _agreement_samples()
+
+#: sha256 of the repr of the four report values over ``AGREEMENT`` at
+#: report seeds 4 and 11. They depend only on the observed grouping, so a
+#: change of relabellings or decision rule must leave them bit for bit; the
+#: hint is left out, since it depends on both.
+REPORT_VALUES_SHA256 = "b67e7f99501ee43522e4f12373e0b16a85bb62dc4b7be98e0ea60e4906e1c8da"
+
+
+def _strong_shift_sample():
+    rng = np.random.default_rng(37)
+    data = np.vstack(
+        [rng.standard_normal((20, 30)), 1.0 + rng.standard_normal((20, 30))]
+    )
+    return LabeledSample(data, 20, 20)
 
 
 class TestMeanVarianceGaps:
@@ -186,12 +201,26 @@ class TestDiscrepancyReport:
         assert isinstance(rep.regime_hint, str) and rep.regime_hint
 
     def test_strong_shift_flags_consistency(self):
-        rng = np.random.default_rng(37)
-        data = np.vstack(
-            [rng.standard_normal((20, 30)), 1.0 + rng.standard_normal((20, 30))]
-        )
-        rep = discrepancy_report(LabeledSample(data, 20, 20), seed=2)
+        rep = discrepancy_report(_strong_shift_sample(), seed=2)
         assert rep.regime_hint.startswith("consistency-plausible")
+
+    @pytest.mark.parametrize("null_reps", [1, 5, 18, 19, 50])
+    def test_few_relabellings_never_flag(self, null_reps):
+        # decide over S = null_reps + 1 groupings can only flag when S >= 1/alpha,
+        # as the test's p-value cannot fall below 1/S
+        rep = discrepancy_report(_strong_shift_sample(), null_reps=null_reps, seed=2)
+        expected = "consistency-plausible" if null_reps >= 19 else "low-power-plausible"
+        assert rep.regime_hint.startswith(expected)
+
+    def test_report_values_golden(self):
+        values = [
+            (name, seed, rep.mean_gap, rep.var_gap, rep.marginal_ed_sum, rep.cov_gap)
+            for name in sorted(AGREEMENT)
+            for seed in (4, 11)
+            for rep in [discrepancy_report(AGREEMENT[name], seed=seed)]
+        ]
+        digest = hashlib.sha256(repr(values).encode()).hexdigest()
+        assert digest == REPORT_VALUES_SHA256
 
     @pytest.mark.parametrize("name", sorted(AGREEMENT))
     def test_agrees_with_per_coordinate_references(self, name):

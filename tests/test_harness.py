@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hdtest import harness
-from hdtest.datagen import ScenarioConfig
+from hdtest.datagen import ScenarioConfig, generate
 from hdtest.harness import (
     PowerTable,
     RealDataset,
@@ -83,6 +83,16 @@ class TestMultiKernelRejections:
             )
             assert rej[spec.family] == single.reject, spec.family
 
+    def test_kernels_of_one_family_kept_apart(self):
+        # on this dataset the narrow gaussian rejects and the wide one does not
+        s = generate(ScenarioConfig("2ii", p=100, n=10, m=10, beta=1.0, seed=15))
+        narrow, wide = KernelSpec("gaussian", 0.5), KernelSpec("gaussian", 50.0)
+        alone = {}
+        for spec in (narrow, wide):
+            alone.update(multi_kernel_rejections(s, (spec,), 0.05, 300, 1))
+        assert alone == {"gaussian(gamma=0.5)": True, "gaussian(gamma=50)": False}
+        assert multi_kernel_rejections(s, (narrow, wide), 0.05, 300, 1) == alone
+
 
 def _tiny_study(**kw):
     scen = (ScenarioConfig(example="1", p=12, n=6, m=6),)
@@ -113,6 +123,17 @@ class TestRunPowerStudy:
         parallel = run_power_study(cfg, jobs=3)
         for a, b in zip(serial.rows, parallel.rows):
             assert a["rejection_rate"] == b["rejection_rate"]
+
+    def test_kernels_of_one_family_get_their_own_rows(self):
+        scen = (ScenarioConfig(example="2ii", p=30, n=6, m=6, beta=1.0),)
+        kernels = (KernelSpec("gaussian", 0.5), KernelSpec("gaussian"), KernelSpec("gaussian", 50))
+        together = run_power_study(_tiny_study(scenarios=scen, kernels=kernels))
+        assert [r["kernel"] for r in together.rows] == [
+            "gaussian(gamma=0.5)", "gaussian", "gaussian(gamma=50)"
+        ]
+        for spec, row in zip(kernels, together.rows):
+            alone = run_power_study(_tiny_study(scenarios=scen, kernels=(spec,)))
+            assert alone.rows[0]["rejection_rate"] == row["rejection_rate"], spec
 
     def test_null_scenario_rate_near_level(self):
         cfg = _tiny_study(replications=200, permutations=60)

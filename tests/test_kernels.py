@@ -32,6 +32,14 @@ class TestKernelSpec:
         assert KernelSpec("laplacian").uses_squared_differences
         assert not KernelSpec("l1").uses_squared_differences
 
+    def test_label_names_non_default_bandwidth(self):
+        assert [KernelSpec(f).label for f in FAMILIES] == list(FAMILIES)
+        assert KernelSpec("gaussian", 0.5).label == "gaussian(gamma=0.5)"
+        assert KernelSpec("laplacian", 50.0).label == "laplacian(gamma=50)"
+        # the distance families ignore gamma, so their label does too
+        assert KernelSpec("l2", gamma=3.0).label == "l2"
+        assert KernelSpec("l1", gamma=3.0).label == "l1"
+
 
 class TestPsiBar:
     def test_identical_inputs(self):

@@ -1,4 +1,5 @@
-"""Every public function of the package is either its API or used by it.
+"""Every public function of the package is either its API or used by it,
+and relabellings are drawn and judged in one place.
 
 A function that only the tests call is a reference implementation and
 belongs in ``tests/reference.py``.
@@ -41,3 +42,22 @@ def test_public_functions_are_used_or_exported():
         and node.name not in used
     ]
     assert unused == []
+
+
+#: calls that draw relabellings or take a randomization quantile
+SAMPLER_AND_RULE = {"permutation", "permuted", "shuffle", "quantile", "percentile"}
+
+
+def test_one_sampler_and_one_rule():
+    """Only ``permutation.py`` draws relabellings or takes quantiles; every
+    other module goes through ``plan_masks`` and ``decide``."""
+    found = [
+        f"{module}:{node.lineno} {node.func.attr}"
+        for module, tree in _trees().items()
+        if module != "permutation"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SAMPLER_AND_RULE
+    ]
+    assert found == []
