@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -44,29 +44,29 @@ def _load_sample(path: str, n: int) -> LabeledSample:
     return LabeledSample(data, n, data.shape[0] - n)
 
 
+def _plan_args(parser):
+    parser.add_argument("--perms", type=int, default=300, metavar="S")
+    parser.add_argument("--exact", action="store_true", help="enumerate all permutations")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _plan(args) -> PermutationPlan:
+    if args.exact:
+        return PermutationPlan(mode="exact", seed=args.seed)
+    return PermutationPlan(mode="monte-carlo", count=args.perms, seed=args.seed)
+
+
 def _scenario_from_args(args) -> datagen.ScenarioConfig:
+    # every field has a flag of the same name
     return datagen.ScenarioConfig(
-        example=args.example,
-        p=args.p,
-        n=args.n,
-        m=args.m,
-        rho=args.rho,
-        beta=args.beta,
-        innovation=args.innovation,
-        v_diag=args.v_diag,
-        v_seed=args.v_seed,
-        seed=args.seed,
+        **{f.name: getattr(args, f.name) for f in fields(datagen.ScenarioConfig)}
     )
 
 
 def _cmd_test(args):
     sample = _load_sample(args.data, args.n)
     spec = KernelSpec(args.kernel, args.gamma)
-    if args.exact:
-        plan = PermutationPlan(mode="exact", seed=args.seed)
-    else:
-        plan = PermutationPlan(mode="monte-carlo", count=args.perms, seed=args.seed)
-    result = permutation_test(sample, spec, alpha=args.alpha, plan=plan)
+    result = permutation_test(sample, spec, alpha=args.alpha, plan=_plan(args))
     print(f"{result.statistic:.10g},{result.critical_value:.10g},"
           f"{result.p_value:.10g},{str(result.reject).lower()}")
 
@@ -84,16 +84,12 @@ def _cmd_gen(args):
 
 def _cmd_diagnose(args):
     sample = _load_sample(args.data, args.n)
-    spec = KernelSpec(args.kernel, args.gamma)
-    report = diagnostics.discrepancy_report(sample, seed=args.seed)
+    report, c = diagnostics.diagnose(sample, KernelSpec(args.kernel, args.gamma), args.seed)
     print("measure,value")
-    print(f"mean_gap,{report.mean_gap:.10g}")
-    print(f"var_gap,{report.var_gap:.10g}")
-    print(f"marginal_ed_sum,{report.marginal_ed_sum:.10g}")
-    print(f"cov_gap,{report.cov_gap:.10g}")
+    for name in ("mean_gap", "var_gap", "marginal_ed_sum", "cov_gap"):
+        print(f"{name},{getattr(report, name):.10g}")
     print(f"regime_hint,{report.regime_hint}")
-    if sample.n >= 4 and sample.m >= 4:
-        c = diagnostics.estimate_moment_constants(sample, spec)
+    if c is not None:
         for name in ("e_x", "e_y", "e_xy", "v_x", "v_y", "v_xy"):
             print(f"{name},{getattr(c, name):.10g}")
 
@@ -120,11 +116,7 @@ def _cmd_powerlimit(args):
     gp = asymptotics.GaussianProcessSpec(
         n=args.n, m=args.m, v_xy=args.v_xy, v_x=args.v_x, v_y=args.v_y
     )
-    if args.exact:
-        plan = PermutationPlan(mode="exact", seed=args.seed)
-    else:
-        plan = PermutationPlan(mode="monte-carlo", count=args.perms, seed=args.seed)
-    rate, se = asymptotics.power_limit_mc(gp, args.alpha, plan, args.draws, seed=args.seed)
+    rate, se = asymptotics.power_limit_mc(gp, args.alpha, _plan(args), args.draws, seed=args.seed)
     print(f"power_limit,{rate:.6g},se,{se:.6g}")
 
 
@@ -183,9 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--n", type=int, required=True, help="rows in the first group")
     _kernel_arg(p_test)
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--perms", type=int, default=300, metavar="S")
-    p_test.add_argument("--exact", action="store_true", help="enumerate all permutations")
-    p_test.add_argument("--seed", type=int, default=0)
+    _plan_args(p_test)
     p_test.set_defaults(func=_cmd_test)
 
     p_gen = sub.add_parser("gen", help="generate a scenario dataset")
@@ -214,30 +204,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_asy.add_argument("--n", type=int, required=True)
     p_asy.add_argument("--m", type=int, required=True)
     _kernel_arg(p_asy)
-    for name, default in (("e-x", 1.0), ("e-y", 1.0), ("e-xy", 1.0),
-                          ("v-x", 1.0), ("v-y", 1.0), ("v-xy", 1.0)):
-        p_asy.add_argument(f"--{name}", dest=name.replace("-", "_"),
-                           type=float, default=default)
+    for name in ("e-x", "e-y", "e-xy", "v-x", "v-y", "v-xy"):
+        p_asy.add_argument(f"--{name}", type=float, default=1.0)
     p_asy.set_defaults(func=_cmd_asymptotics)
 
     p_pl = sub.add_parser("powerlimit", help="Monte Carlo limiting power")
     p_pl.add_argument("--n", type=int, required=True)
     p_pl.add_argument("--m", type=int, required=True)
-    p_pl.add_argument("--v-x", dest="v_x", type=float, default=1.0)
-    p_pl.add_argument("--v-y", dest="v_y", type=float, default=1.0)
-    p_pl.add_argument("--v-xy", dest="v_xy", type=float, default=1.0)
+    for name in ("v-x", "v-y", "v-xy"):
+        p_pl.add_argument(f"--{name}", type=float, default=1.0)
     p_pl.add_argument("--alpha", type=float, default=0.05)
     p_pl.add_argument("--draws", type=int, default=20000)
-    p_pl.add_argument("--perms", type=int, default=300)
-    p_pl.add_argument("--exact", action="store_true")
-    p_pl.add_argument("--seed", type=int, default=0)
+    _plan_args(p_pl)
     p_pl.set_defaults(func=_cmd_powerlimit)
 
     p_study = sub.add_parser("power", aliases=["size"],
                              help="power (or size) study from JSON config")
     p_study.add_argument("--config", required=True)
     p_study.add_argument("--seed", type=int, default=None)
-    p_study.add_argument("--jobs", type=int, default=harness.default_jobs())
+    p_study.add_argument("--jobs", type=int, default=1)
     p_study.add_argument("--out", default="power_table.csv")
     p_study.set_defaults(func=_cmd_power)
 
@@ -250,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rd.add_argument("--replications", type=int, default=1000)
     p_rd.add_argument("--perms", type=int, default=300)
     p_rd.add_argument("--seed", type=int, default=0)
-    p_rd.add_argument("--jobs", type=int, default=harness.default_jobs())
+    p_rd.add_argument("--jobs", type=int, default=1)
     p_rd.add_argument("--out", default="realdata_table.csv")
     p_rd.set_defaults(func=_cmd_realdata)
 

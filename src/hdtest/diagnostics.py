@@ -8,10 +8,11 @@ single dataset cannot certify.
 
 A report runs each gap through the permutation test's own path: the masks
 of :func:`permutation.plan_masks`, :func:`statistic.masked_pair_sums` over
-the squared distances (mean and variance gaps), :func:`kernel_statistics`
-with the l1 kernel (marginal energy-distance sum) and :func:`decide`. The
-double-centred blocks of the squared distances are Gram blocks of the
-centred rows and give the covariance gap. No array is p x p.
+the squared distances (mean and variance gaps), :func:`masked_statistics`
+over the cityblock ones (marginal energy-distance sum) and :func:`decide`.
+The double-centred blocks of the squared distances are Gram blocks of the
+centred rows and give the covariance gap. No array is p x p. :func:`diagnose`
+builds each of the two matrices once for the report and the moment constants.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ import numpy as np
 from .asymptotics import MomentConstants
 from .kernels import KernelSpec
 from .permutation import PermutationPlan, decide, plan_masks
-from .statistic import LabeledSample, kernel_statistics, masked_pair_sums, psibar_matrix
+from .statistic import LabeledSample, masked_pair_sums, masked_statistics, psibar_matrix
+
+#: relabellings behind a report's regime hint
+_NULL_REPS = 50
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,6 @@ def _within_centered_sq_mean(pb: np.ndarray, p: int) -> float:
     """Mean squared U-centered pair contribution within one group, with the
     conditional means estimated leaving the pair's own indices out."""
     k = pb.shape[0]
-    if k < 4:
-        raise ValueError("need at least 4 observations per group")
     rows = pb.sum(axis=1)  # diagonal of pb is 0
     tot = pb.sum()
     iu = np.triu_indices(k, 1)
@@ -68,8 +70,6 @@ def _within_centered_sq_mean(pb: np.ndarray, p: int) -> float:
 
 def _cross_centered_sq_mean(pxy: np.ndarray, p: int) -> float:
     n, m = pxy.shape
-    if n < 2 or m < 2:
-        raise ValueError("need at least 2 observations per group")
     rows = pxy.sum(axis=1, keepdims=True)
     cols = pxy.sum(axis=0, keepdims=True)
     tot = pxy.sum()
@@ -91,8 +91,12 @@ def estimate_moment_constants(sample: LabeledSample, spec: KernelSpec):
     """
     if sample.n < 4 or sample.m < 4:
         raise ValueError("moment-constant estimation needs n, m >= 4")
+    return _moment_constants(sample, psibar_matrix(sample.data, spec.uses_squared_differences))
+
+
+def _moment_constants(sample: LabeledSample, pb: np.ndarray) -> MomentConstants:
+    """The constants from ``pb``, the averaged distances of the kernel's kind."""
     n, m, p = sample.n, sample.m, sample.p
-    pb = psibar_matrix(sample.data, spec.uses_squared_differences)
     pxx, pyy, pxy = pb[:n, :n], pb[n:, n:], pb[:n, n:]
     e_x = pxx.sum() / (n * (n - 1))
     e_y = pyy.sum() / (m * (m - 1))
@@ -108,7 +112,7 @@ def estimate_moment_constants(sample: LabeledSample, spec: KernelSpec):
 
 
 def discrepancy_report(
-    sample: LabeledSample, null_reps: int = 50, seed: int = 0
+    sample: LabeledSample, null_reps: int = _NULL_REPS, seed: int = 0
 ) -> DiscrepancyReport:
     """All four discrepancy measures plus an advisory regime hint.
 
@@ -118,15 +122,20 @@ def discrepancy_report(
     """
     if null_reps < 1:
         raise ValueError("null_reps must be >= 1")
+    sq, l1 = psibar_matrix(sample.data, True), psibar_matrix(sample.data, False)
+    return _report(sample, sq, l1, null_reps, seed)
+
+
+def _report(sample, sq, l1, null_reps: int, seed: int) -> DiscrepancyReport:
     n, m = sample.n, sample.m
     masks, _ = plan_masks(PermutationPlan(count=null_reps + 1, seed=seed), n, m)
     # pair sums of ||x_i - x_j||^2 / p give each grouping's mean and variance gaps
-    sq = psibar_matrix(sample.data, squared=True)
     cross, wx, wy = masked_pair_sums(sq, n, m, masks)
     stats = np.stack([
         np.maximum(cross / (n * m) - wx / n**2 - wy / m**2, 0.0),
         np.abs(wx / (n * (n - 1)) - wy / (m * (m - 1))),
-        kernel_statistics(sample, (KernelSpec("l1"),), masks)[0],
+        # the l1 kernel's statistic (phi is the identity); kernel_statistics would rebuild l1
+        masked_statistics(l1, n, m, masks),
     ])
     mean_signal, var_signal, marginal_signal = decide(stats, 0.05)[1]
     if mean_signal or var_signal:
@@ -140,3 +149,12 @@ def discrepancy_report(
         mean_gap=mg, var_gap=vg, marginal_ed_sum=med,
         cov_gap=_cov_gap(sq, n, m, sample.p), regime_hint=hint,
     )
+
+
+def diagnose(sample: LabeledSample, spec: KernelSpec, seed: int = 0):
+    """The report and ``spec``'s constants (None if n or m < 4) from one matrix per kind."""
+    sq, l1 = psibar_matrix(sample.data, True), psibar_matrix(sample.data, False)
+    constants = None
+    if sample.n >= 4 and sample.m >= 4:
+        constants = _moment_constants(sample, sq if spec.uses_squared_differences else l1)
+    return _report(sample, sq, l1, _NULL_REPS, seed), constants

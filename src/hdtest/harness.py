@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -28,8 +27,11 @@ from .permutation import PermutationPlan, decide, plan_masks
 from .statistic import LabeledSample, kernel_statistics
 
 
-def _check_study(alpha: float, replications: int, permutations: int) -> None:
+def _check_study(kernels, alpha: float, replications: int, permutations: int) -> None:
     """Refuse study arguments before any replication runs, not in a worker."""
+    shared = [label for label, k in Counter(s.label for s in kernels).items() if k > 1]
+    if shared:
+        raise ValueError(f"two kernels share the label {shared[0]!r}, which keys their results")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     if replications < 1:
@@ -48,7 +50,7 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_study(self.alpha, self.replications, self.permutations)
+        _check_study(self.kernels, self.alpha, self.replications, self.permutations)
         if not self.scenarios:
             raise ValueError("empty scenario grid")
 
@@ -192,11 +194,6 @@ def _scenario_label(cfg: ScenarioConfig) -> str:
     )
 
 
-def default_jobs() -> int:
-    env = os.environ.get("HDTEST_JOBS")
-    return int(env) if env else 1
-
-
 def run_power_study(cfg: StudyConfig, jobs: int = 1) -> PowerTable:
     """Rejection rate per (scenario, kernel) over seeded replications."""
     points = [(_scenario_label(scen), partial(_scenario_sample, scen)) for scen in cfg.scenarios]
@@ -226,7 +223,7 @@ def run_realdata_study(
     two in sorted order); passing the same label twice yields a
     null-by-construction control study.
     """
-    _check_study(alpha, replications, permutations)
+    _check_study(kernels, alpha, replications, permutations)
     keys = sorted(dataset.classes)
     if labels is None:
         labels = (keys[0], keys[1])

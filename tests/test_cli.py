@@ -1,9 +1,18 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from hdtest import diagnostics, statistic
 from hdtest.cli import main
+from hdtest.datagen import ScenarioConfig, generate
+from hdtest.kernels import FAMILIES
+from hdtest.statistic import psibar_matrix
+
+#: sha256 of ``hdtest diagnose --seed 3`` stdout over ``_diagnose_csvs`` and
+#: the four kernels, one run after another
+DIAGNOSE_SHA256 = "ce59ebf2981847119ee3250ae7b65bb0160624bd39b26e44858176b30ebf7142"
 
 
 def _run(capsys, argv):
@@ -69,7 +78,40 @@ class TestGenAndTest:
         assert np.loadtxt(out_path, delimiter=",").shape == (11, 8)
 
 
+def _diagnose_csvs(tmp_path):
+    """Two seeded scenario datasets as CSV files, with their group-X sizes."""
+    out = []
+    for name, cfg in (("a", ScenarioConfig("3i", p=40, n=8, m=8, beta=0.3, seed=2)),
+                      ("b", ScenarioConfig("2i", p=25, n=6, m=9, beta=1.0, seed=5))):
+        path = tmp_path / f"{name}.csv"
+        np.savetxt(path, generate(cfg).data, delimiter=",", fmt="%.17g")
+        out.append((str(path), cfg.n))
+    return out
+
+
 class TestDiagnose:
+    def test_stdout_golden(self, tmp_path, capsys):
+        out = "".join(
+            _run(capsys, ["diagnose", path, "--n", str(n), "--kernel", kernel, "--seed", "3"])
+            for path, n in _diagnose_csvs(tmp_path)
+            for kernel in FAMILIES
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == DIAGNOSE_SHA256
+
+    @pytest.mark.parametrize("kernel", FAMILIES)
+    def test_builds_each_distance_matrix_once(self, tmp_path, capsys, monkeypatch, kernel):
+        calls = []
+
+        def counting(data, squared):
+            calls.append(squared)
+            return psibar_matrix(data, squared)
+
+        for module in (statistic, diagnostics):
+            monkeypatch.setattr(module, "psibar_matrix", counting)
+        path, n = _diagnose_csvs(tmp_path)[0]
+        _run(capsys, ["diagnose", path, "--n", str(n), "--kernel", kernel])
+        assert sorted(calls) == [False, True]
+
     def test_report_fields(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"
         rng = np.random.default_rng(1)
@@ -101,6 +143,11 @@ class TestAsymptotics:
         with pytest.raises(SystemExit, match=message) as exc:
             main(["asymptotics", "--n", "4", "--m", "6", *argv])
         assert "\n" not in str(exc.value)
+
+
+def test_environment_does_not_set_options(monkeypatch, capsys):
+    monkeypatch.setenv("HDTEST_JOBS", "abc")
+    assert _run(capsys, ["asymptotics", "--n", "3", "--m", "3"]).startswith("w,f_w,")
 
 
 class TestPowerlimit:
@@ -152,6 +199,17 @@ class TestStudyCommands:
         assert "wrote 1 rows" in out
         text = out_path.read_text()
         assert text.startswith("scenario,kernel,rejection_rate")
+
+    def test_shared_kernel_label_exits_with_one_line(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({
+            "scenarios": [{"example": "1", "p": 10, "n": 5, "m": 5}],
+            "kernels": ["l2", "l2"], "replications": 2, "permutations": 30,
+        }))
+        with pytest.raises(SystemExit, match="share the label 'l2'") as exc:
+            main(["power", "--config", str(path), "--out", str(tmp_path / "t.csv")])
+        assert str(exc.value).startswith("hdtest power: ")
+        assert "\n" not in str(exc.value)
 
     def test_size_alias_and_seed_override(self, tmp_path, capsys):
         out_path = tmp_path / "size.csv"

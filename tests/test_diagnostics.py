@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hdtest.datagen import EXAMPLES, ScenarioConfig, ar_correlation, generate
-from hdtest.diagnostics import discrepancy_report, estimate_moment_constants
-from hdtest.kernels import KernelSpec
+from hdtest.diagnostics import diagnose, discrepancy_report, estimate_moment_constants
+from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.statistic import LabeledSample, build_kernel_matrix, ed_statistic, psibar_matrix
 from tests.reference import (
     analytic_vxy_quadratic,
@@ -252,6 +252,21 @@ class TestDiscrepancyReport:
             s = LabeledSample(np.vstack([x, x + 10.0]), 3, 3)
             rep = discrepancy_report(s, null_reps=200, seed=seed)
             assert not rep.regime_hint.startswith("consistency-plausible"), seed
+
+    @pytest.mark.parametrize("name", sorted(AGREEMENT))
+    def test_diagnose_equals_the_public_calls(self, name):
+        s = AGREEMENT[name]
+        for family in FAMILIES:
+            spec = KernelSpec(family)
+            report, constants = diagnose(s, spec, seed=4)
+            assert report == discrepancy_report(s, 50, 4)
+            assert constants == estimate_moment_constants(s, spec)
+
+    def test_diagnose_small_group_has_no_constants(self):
+        s = LabeledSample(np.random.default_rng(39).standard_normal((8, 5)), 3, 5)
+        report, constants = diagnose(s, KernelSpec("l1"), seed=2)
+        assert constants is None
+        assert report == discrepancy_report(s, seed=2)
 
     def test_mean_gap_accurate_under_large_offsets(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,31 @@ class TestStudyConfig:
         scen = (ScenarioConfig(example="1", p=10, n=5, m=5),)
         with pytest.raises(ValueError, match="alpha"):
             StudyConfig(scenarios=scen, alpha=alpha)
+
+
+class TestKernelLabels:
+    SHARED = [
+        ((KernelSpec("gaussian", 0.5), KernelSpec("gaussian", 0.5000001)), "gaussian(gamma=0.5)"),
+        ((KernelSpec("l2"), KernelSpec("l1"), KernelSpec("l2")), "l2"),
+    ]
+
+    @pytest.mark.parametrize("kernels, label", SHARED)
+    def test_study_refuses_a_shared_label(self, kernels, label):
+        scen = (ScenarioConfig(example="2ii", p=100, n=10, m=10, beta=1.0),)
+        with pytest.raises(ValueError, match=re.escape(f"share the label '{label}'")):
+            StudyConfig(scenarios=scen, kernels=kernels)
+
+    @pytest.mark.parametrize("kernels, label", SHARED)
+    def test_realdata_refuses_a_shared_label(self, monkeypatch, kernels, label):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran before the kernels were checked")
+
+        monkeypatch.setattr(harness, "multi_kernel_rejections", no_work)
+        rng = np.random.default_rng(8)
+        ds = RealDataset(classes={"a": rng.standard_normal((6, 3)),
+                                  "b": rng.standard_normal((6, 3))})
+        with pytest.raises(ValueError, match=re.escape(f"share the label '{label}'")):
+            run_realdata_study(ds, [3], kernels=kernels, replications=2, permutations=40)
 
 
 class TestRealDataset:

@@ -44,6 +44,18 @@ def test_public_functions_are_used_or_exported():
     assert unused == []
 
 
+def test_settings_come_from_arguments():
+    """No module reads the environment: every setting is an argument."""
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+    ]
+    assert found == []
+
+
 #: calls that draw relabellings or take a randomization quantile
 SAMPLER_AND_RULE = {"permutation", "permuted", "shuffle", "quantile", "percentile"}
 
