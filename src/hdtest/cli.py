@@ -8,6 +8,10 @@ Subcommands:
   powerlimit  Monte Carlo limiting-power estimate from variance constants
   power       Monte Carlo power (or size) study from a JSON config; alias size
   realdata    subsampled power study on a class-labelled data file
+
+JSON configs and flags are built into the package's own types, which refuse
+an unknown key and default a missing one; data files are read by
+:func:`harness.read_rows`. Bad input ends in one ``hdtest <command>:`` line.
 """
 
 from __future__ import annotations
@@ -26,21 +30,30 @@ from .statistic import LabeledSample
 
 
 def _kernel_arg(parser):
-    parser.add_argument("--kernel", choices=FAMILIES, default="l2")
-    parser.add_argument("--gamma", type=float, default=1.0, help="bandwidth for gaussian/laplacian")
+    parser.add_argument("--kernel", dest="family", choices=FAMILIES, default="l2")
+    parser.add_argument("--gamma", type=float, default=argparse.SUPPRESS,
+                        help="bandwidth for gaussian/laplacian")
+
+
+def _from_args(cls, args, **fixed):
+    """``cls`` from ``fixed`` and the flags named after its other fields; a
+    ``SUPPRESS``-default flag left out takes the field's default."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given}, **fixed)
+
+
+def _read_json(path: str, build):
+    """``build`` of the JSON document at ``path``. A syntax error, or an
+    unknown or missing key (a TypeError that names it), names the file."""
+    with open(path) as fh:
+        try:
+            return build(json.load(fh))
+        except (json.JSONDecodeError, TypeError) as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def _load_sample(path: str, n: int) -> LabeledSample:
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        # loadtxt skips lines that are blank once a "#" comment is cut off
-        with open(path) as fh:
-            lines = [i for i, line in enumerate(fh, start=1) if line.split("#", 1)[0].strip()]
-        raise SystemExit(f"{path}: line {lines[np.argmin(finite)]}: non-finite value")
-    if not 2 <= n <= data.shape[0] - 2:
-        raise SystemExit(f"--n must leave at least 2 rows in each group (got n={n}, "
-                         f"{data.shape[0]} rows)")
+    _, data = harness.read_rows(path, ",", labelled=False)
     return LabeledSample(data, n, data.shape[0] - n)
 
 
@@ -56,16 +69,9 @@ def _plan(args) -> PermutationPlan:
     return PermutationPlan(mode="monte-carlo", count=args.perms, seed=args.seed)
 
 
-def _scenario_from_args(args) -> datagen.ScenarioConfig:
-    # every field has a flag of the same name
-    return datagen.ScenarioConfig(
-        **{f.name: getattr(args, f.name) for f in fields(datagen.ScenarioConfig)}
-    )
-
-
 def _cmd_test(args):
     sample = _load_sample(args.data, args.n)
-    spec = KernelSpec(args.kernel, args.gamma)
+    spec = _from_args(KernelSpec, args)
     result = permutation_test(sample, spec, alpha=args.alpha, plan=_plan(args))
     print(f"{result.statistic:.10g},{result.critical_value:.10g},"
           f"{result.p_value:.10g},{str(result.reject).lower()}")
@@ -73,10 +79,9 @@ def _cmd_test(args):
 
 def _cmd_gen(args):
     if args.config:
-        with open(args.config) as fh:
-            cfg = datagen.ScenarioConfig(**json.load(fh))
+        cfg = _read_json(args.config, lambda raw: datagen.ScenarioConfig(**raw))
     else:
-        cfg = _scenario_from_args(args)
+        cfg = _from_args(datagen.ScenarioConfig, args)
     sample = datagen.generate(cfg)
     np.savetxt(args.out, sample.data, delimiter=",", fmt="%.17g")
     print(f"wrote {sample.n + sample.m} rows x {sample.p} cols to {args.out}")
@@ -84,7 +89,7 @@ def _cmd_gen(args):
 
 def _cmd_diagnose(args):
     sample = _load_sample(args.data, args.n)
-    report, c = diagnostics.diagnose(sample, KernelSpec(args.kernel, args.gamma), args.seed)
+    report, c = diagnostics.diagnose(sample, _from_args(KernelSpec, args), args.seed)
     print("measure,value")
     for name in ("mean_gap", "var_gap", "marginal_ed_sum", "cov_gap"):
         print(f"{name},{getattr(report, name):.10g}")
@@ -95,12 +100,9 @@ def _cmd_diagnose(args):
 
 
 def _cmd_asymptotics(args):
-    spec = KernelSpec(args.kernel, args.gamma)
+    spec = _from_args(KernelSpec, args)
     n, m = args.n, args.m
-    c = asymptotics.MomentConstants(
-        e_x=args.e_x, e_y=args.e_y, e_xy=args.e_xy,
-        v_x=args.v_x, v_y=args.v_y, v_xy=args.v_xy,
-    )
+    c = _from_args(asymptotics.MomentConstants, args)
     law = asymptotics.HypergeometricLaw(n, m)
     rows = [
         (w, asymptotics.f_w(n, m, w), asymptotics.mu_nw(n, m, w, c, spec),
@@ -113,33 +115,24 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_powerlimit(args):
-    gp = asymptotics.GaussianProcessSpec(
-        n=args.n, m=args.m, v_xy=args.v_xy, v_x=args.v_x, v_y=args.v_y
-    )
+    gp = _from_args(asymptotics.GaussianProcessSpec, args)
     rate, se = asymptotics.power_limit_mc(gp, args.alpha, _plan(args), args.draws, seed=args.seed)
     print(f"power_limit,{rate:.6g},se,{se:.6g}")
 
 
-def _study_from_json(path: str) -> harness.StudyConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    scenarios = tuple(datagen.ScenarioConfig(**s) for s in raw["scenarios"])
-    kernels = tuple(
-        KernelSpec(k["family"], k.get("gamma", 1.0)) if isinstance(k, dict) else KernelSpec(k)
-        for k in raw.get("kernels", list(FAMILIES))
-    )
-    return harness.StudyConfig(
-        scenarios=scenarios,
-        kernels=kernels,
-        alpha=raw.get("alpha", 0.05),
-        replications=raw.get("replications", 1000),
-        permutations=raw.get("permutations", 300),
-        seed=raw.get("seed", 0),
-    )
+def _study_from_json(raw) -> harness.StudyConfig:
+    raw = {**raw}  # a TypeError unless the document is an object
+    # a missing grid is left to StudyConfig's own check
+    raw["scenarios"] = tuple(datagen.ScenarioConfig(**s) for s in raw.get("scenarios", ()))
+    if "kernels" in raw:
+        raw["kernels"] = tuple(
+            KernelSpec(**k) if isinstance(k, dict) else KernelSpec(k) for k in raw["kernels"]
+        )
+    return harness.StudyConfig(**raw)
 
 
 def _cmd_power(args):
-    cfg = _study_from_json(args.config)
+    cfg = _read_json(args.config, _study_from_json)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     table = harness.run_power_study(cfg, jobs=args.jobs)
@@ -150,7 +143,7 @@ def _cmd_power(args):
 def _cmd_realdata(args):
     dataset = harness.load_delimited(args.file, args.format)
     sizes = [int(s) for s in args.sizes.split(",")]
-    kernels = tuple(KernelSpec(f, args.gamma) for f in FAMILIES)
+    kernels = tuple(_from_args(KernelSpec, args, family=f) for f in FAMILIES)
     table = harness.run_realdata_study(
         dataset,
         sizes,
@@ -178,18 +171,20 @@ def build_parser() -> argparse.ArgumentParser:
     _plan_args(p_test)
     p_test.set_defaults(func=_cmd_test)
 
-    p_gen = sub.add_parser("gen", help="generate a scenario dataset")
-    p_gen.add_argument("--config", help="JSON scenario config (overrides flags)")
+    # a ScenarioConfig flag left out takes the field's default
+    p_gen = sub.add_parser("gen", help="generate a scenario dataset",
+                           argument_default=argparse.SUPPRESS)
+    p_gen.add_argument("--config", default=None, help="JSON scenario config (overrides flags)")
     p_gen.add_argument("--example", choices=datagen.EXAMPLES, default="1")
     p_gen.add_argument("--p", type=int, default=100)
     p_gen.add_argument("--n", type=int, default=50)
     p_gen.add_argument("--m", type=int, default=50)
-    p_gen.add_argument("--rho", type=float, default=0.5)
-    p_gen.add_argument("--beta", type=float, default=0.0)
-    p_gen.add_argument("--innovation", choices=("normal", "exponential"), default="normal")
-    p_gen.add_argument("--v-diag", dest="v_diag", choices=("ones", "uniform"), default="ones")
-    p_gen.add_argument("--v-seed", dest="v_seed", type=int, default=0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--rho", type=float)
+    p_gen.add_argument("--beta", type=float)
+    p_gen.add_argument("--innovation", choices=("normal", "exponential"))
+    p_gen.add_argument("--v-diag", choices=("ones", "uniform"))
+    p_gen.add_argument("--v-seed", type=int)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", default="sample.csv")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -204,15 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_asy.add_argument("--n", type=int, required=True)
     p_asy.add_argument("--m", type=int, required=True)
     _kernel_arg(p_asy)
-    for name in ("e-x", "e-y", "e-xy", "v-x", "v-y", "v-xy"):
-        p_asy.add_argument(f"--{name}", type=float, default=1.0)
+    for f in fields(asymptotics.MomentConstants):
+        p_asy.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=1.0)
     p_asy.set_defaults(func=_cmd_asymptotics)
 
     p_pl = sub.add_parser("powerlimit", help="Monte Carlo limiting power")
     p_pl.add_argument("--n", type=int, required=True)
     p_pl.add_argument("--m", type=int, required=True)
-    for name in ("v-x", "v-y", "v-xy"):
-        p_pl.add_argument(f"--{name}", type=float, default=1.0)
+    for f in fields(asymptotics.GaussianProcessSpec):
+        if f.name.startswith("v_"):
+            p_pl.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=1.0)
     p_pl.add_argument("--alpha", type=float, default=0.05)
     p_pl.add_argument("--draws", type=int, default=20000)
     _plan_args(p_pl)
@@ -230,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rd.add_argument("--file", required=True)
     p_rd.add_argument("--format", choices=("csv", "ucr-tsv"), default="ucr-tsv")
     p_rd.add_argument("--sizes", default="10,20,30,40,50,60")
-    p_rd.add_argument("--gamma", type=float, default=1.0)
+    p_rd.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
     p_rd.add_argument("--alpha", type=float, default=0.05)
     p_rd.add_argument("--replications", type=int, default=1000)
     p_rd.add_argument("--perms", type=int, default=300)
@@ -247,8 +243,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValueError as err:
-        # bad arguments and bad data end in one line, not a traceback
+    except (OSError, ValueError) as err:
+        # bad arguments, bad data and unreadable files end in one line,
+        # not a traceback
         raise SystemExit(f"hdtest {args.command}: {err}") from None
     return 0
 

@@ -1,11 +1,13 @@
 """Monte Carlo size/power studies and real-data subsampling studies.
 
 One grid runner serves both: a grid point is a picklable sampler (scenario
-generation or class subsampling), and every (grid point, chunk) task of a
-study goes through one process pool. Every replication derives its RNG
-seeds deterministically from the master seed plus its (grid index,
-replication index) coordinates, so results are byte-identical regardless
-of how many workers execute them.
+generation or class subsampling), and every replication of a study goes
+through one process pool. Every replication derives its RNG seeds
+deterministically from the master seed plus its (grid index, replication
+index) coordinates, so results are byte-identical regardless of how many
+workers execute them.
+
+Data files, the command line's too, are read by :func:`read_rows`.
 """
 
 from __future__ import annotations
@@ -140,40 +142,35 @@ def _replication_seeds(master: int, grid: int, rep: int) -> tuple[int, int]:
     return int(data_seed), int(perm_seed)
 
 
-def _count_rejections(args):
-    """Rejections per kernel label over one chunk of one grid point."""
-    sampler, grid_idx, rep_range, kernels, alpha, permutations, master = args
-    counts = Counter()
-    for rep in rep_range:
-        data_seed, perm_seed = _replication_seeds(master, grid_idx, rep)
-        counts.update(
-            multi_kernel_rejections(sampler(data_seed), kernels, alpha, permutations, perm_seed)
-        )
-    return counts
+def _rejections(args):
+    """Each kernel's decision on one replication of one grid point."""
+    sampler, grid_idx, rep, kernels, alpha, permutations, master = args
+    data_seed, perm_seed = _replication_seeds(master, grid_idx, rep)
+    return multi_kernel_rejections(sampler(data_seed), kernels, alpha, permutations, perm_seed)
 
 
 def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) -> PowerTable:
     """Rejection rate per (grid point, kernel) for ``points``, a list of
     (label, sampler) pairs where ``sampler(data_seed)`` returns one dataset.
 
-    Each point's replications are split into the same chunks for any
-    ``jobs``; all chunks of all points share one pool. A point's wall time
-    runs from the previous point's last result to its own.
+    All replications of all points share one pool, which takes them in
+    chunks of ``ceil(replications / jobs)``. A point's wall time runs from
+    the previous point's last result to its own.
     """
-    chunks = _chunk_ranges(replications, jobs)
     tasks = [
-        (sampler, grid_idx, chunk, kernels, alpha, permutations, master)
+        (sampler, grid_idx, rep, kernels, alpha, permutations, master)
         for grid_idx, (_, sampler) in enumerate(points)
-        for chunk in chunks
+        for rep in range(replications)
     ]
     table = PowerTable()
     start = time.perf_counter()
     parallel = jobs > 1 and len(tasks) > 1
     with ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext() as pool:
-        results = (pool.map if parallel else map)(_count_rejections, tasks)
+        results = (pool.map(_rejections, tasks, chunksize=math.ceil(replications / jobs))
+                   if parallel else map(_rejections, tasks))
         for label, _ in points:
             counts = Counter()
-            for _ in chunks:
+            for _ in range(replications):
                 counts.update(next(results))
             now = time.perf_counter()
             for spec in kernels:
@@ -199,11 +196,6 @@ def run_power_study(cfg: StudyConfig, jobs: int = 1) -> PowerTable:
     points = [(_scenario_label(scen), partial(_scenario_sample, scen)) for scen in cfg.scenarios]
     return _run_grid(points, cfg.kernels, cfg.alpha, cfg.replications, cfg.permutations,
                      cfg.seed, jobs)
-
-
-def _chunk_ranges(total: int, jobs: int):
-    size = max(1, math.ceil(total / max(jobs, 1)))
-    return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def run_realdata_study(
@@ -255,39 +247,46 @@ def _subsample(a, b, n: int, same_class: bool, data_seed: int) -> LabeledSample:
     return LabeledSample(np.vstack([xa, xb]), n, n)
 
 
+def read_rows(path, delim: str, labelled: bool) -> tuple[list[str], np.ndarray]:
+    """``(labels, values)`` of a delimited file of numbers, a row's label being
+    its first field when ``labelled``. ``#`` starts a comment and blank lines
+    are skipped; a row that is not all finite numbers, or not as wide as the
+    first, is refused with its line number."""
+    labels, rows = [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split("#", 1)[0].strip().split(delim)
+            if fields == [""]:
+                continue
+            where = f"{path}: line {lineno}"
+            if labelled:
+                if len(fields) < 2:
+                    raise ValueError(f"{where}: expected a label plus at least one value")
+                labels.append(fields.pop(0))
+            try:
+                row = np.array(fields, dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{where}: non-numeric field ({exc})") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{where}: non-finite value")
+            if rows and row.size != rows[0].size:
+                raise ValueError(
+                    f"{where}: ragged row of length {row.size}, expected {rows[0].size}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return labels, np.array(rows)
+
+
 def load_delimited(path, fmt: str = "ucr-tsv") -> RealDataset:
     """Parse a class-labelled delimited file.
 
     ``ucr-tsv``: tab-separated, first field is the class label. ``csv``:
-    comma-separated with the same first-field-is-label convention.
+    comma-separated with the same first-field-is-label convention. Both
+    are read by :func:`read_rows`, so ``#`` starts a comment.
     """
     if fmt not in ("csv", "ucr-tsv"):
         raise ValueError(f"unknown format {fmt!r}")
-    delim = "\t" if fmt == "ucr-tsv" else ","
-    rows: dict[str, list] = {}
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(delim)
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: expected a label plus at least one value")
-            label = parts[0]
-            try:
-                series = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: non-numeric field ({exc})") from None
-            if not all(map(math.isfinite, series)):
-                raise ValueError(f"line {lineno}: non-finite value")
-            if width is None:
-                width = len(series)
-            elif len(series) != width:
-                raise ValueError(
-                    f"line {lineno}: ragged row of length {len(series)}, expected {width}"
-                )
-            rows.setdefault(label, []).append(series)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return RealDataset(classes={k: np.asarray(v, dtype=float) for k, v in rows.items()})
+    labels, values = read_rows(path, "\t" if fmt == "ucr-tsv" else ",", labelled=True)
+    row_labels = np.array(labels)
+    return RealDataset(classes={k: values[row_labels == k] for k in dict.fromkeys(labels)})

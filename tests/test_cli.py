@@ -7,6 +7,7 @@ import pytest
 from hdtest import diagnostics, statistic
 from hdtest.cli import main
 from hdtest.datagen import ScenarioConfig, generate
+from hdtest.harness import StudyConfig, run_power_study
 from hdtest.kernels import FAMILIES
 from hdtest.statistic import psibar_matrix
 
@@ -62,6 +63,20 @@ class TestGenAndTest:
         csv_path.write_text(f"0,1\n{field},2\n3,4\n5,6\n")
         with pytest.raises(SystemExit, match="line 2: non-finite value"):
             main([command, str(csv_path), "--n", "2"])
+
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    @pytest.mark.parametrize("line, message", [
+        ("x,2", "non-numeric field"),
+        ("1", "ragged row of length 1, expected 2"),
+        ("1,2,3", "ragged row of length 3, expected 2"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, command, line, message):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text(f"0,1\n{line}\n3,4\n5,6\n")
+        with pytest.raises(SystemExit, match=f"line 2: {message}") as exc:
+            main([command, str(csv_path), "--n", "2"])
+        assert str(exc.value).startswith(f"hdtest {command}: {csv_path}: ")
+        assert "\n" not in str(exc.value)
 
     def test_non_finite_line_counts_comments_and_blanks(self, tmp_path):
         csv_path = tmp_path / "s.csv"
@@ -219,6 +234,83 @@ class TestStudyCommands:
              "--out", str(out_path)],
         )
         assert out_path.exists()
+
+
+class TestConfigBoundary:
+    """Configs are built by the package's own types, which refuse an unknown
+    key and default a missing one; a bad config or a missing file ends in
+    one line."""
+
+    SCENARIO = {"example": "1", "p": 10, "n": 5, "m": 5}
+
+    @staticmethod
+    def _exit_line(argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        line = str(exc.value)
+        assert line.startswith(f"hdtest {argv[0]}: ")
+        assert "\n" not in line
+        return line
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"scenarios": [SCENARIO], "replicatons": 3},
+         "unexpected keyword argument 'replicatons'"),
+        ({"scenarios": [SCENARIO], "kernels": [{"family": "gaussian", "gama": 2}]},
+         "unexpected keyword argument 'gama'"),
+        ({"scenarios": [SCENARIO], "kernels": [{"gamma": 2}]},
+         "missing 1 required positional argument: 'family'"),
+        ({"scenarios": [{**SCENARIO, "bta": 0.5}]}, "unexpected keyword argument 'bta'"),
+        ([SCENARIO], "not a mapping"),
+        ("{", "Expecting property name"),
+    ])
+    def test_bad_study_config_names_the_file(self, tmp_path, doc, message):
+        path = tmp_path / "study.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        line = self._exit_line(["power", "--config", str(path),
+                                "--out", str(tmp_path / "t.csv")])
+        assert line.startswith(f"hdtest power: {path}: ")
+        assert message in line
+
+    def test_missing_scenarios_is_an_empty_grid(self, tmp_path):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"kernels": ["l2"], "replications": 2}))
+        line = self._exit_line(["power", "--config", str(path)])
+        assert line == "hdtest power: empty scenario grid"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({**SCENARIO, "bta": 0.5}, "unexpected keyword argument 'bta'"),
+        ([SCENARIO], "must be a mapping, not list"),
+    ])
+    def test_bad_scenario_config_names_file_and_key(self, tmp_path, doc, message):
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(doc))
+        line = self._exit_line(["gen", "--config", str(path),
+                                "--out", str(tmp_path / "o.csv")])
+        assert line.startswith(f"hdtest gen: {path}: ")
+        assert message in line
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "{missing}", "--n", "2"],
+        ["diagnose", "{missing}", "--n", "2"],
+        ["power", "--config", "{missing}"],
+        ["gen", "--config", "{missing}"],
+        ["realdata", "--file", "{missing}"],
+    ])
+    def test_missing_file_exits_with_one_line(self, tmp_path, argv):
+        missing = str(tmp_path / "absent.txt")
+        argv = [arg.format(missing=missing) for arg in argv]
+        line = self._exit_line(argv)
+        assert "No such file or directory" in line and missing in line
+
+    def test_scenarios_alone_take_study_defaults(self, tmp_path, capsys):
+        scenarios = [{"example": "2i", "p": 3, "n": 4, "m": 4, "beta": 1.0}]
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"scenarios": scenarios}))
+        out_path = tmp_path / "cli.csv"
+        _run(capsys, ["power", "--config", str(path), "--out", str(out_path)])
+        table = run_power_study(StudyConfig(tuple(ScenarioConfig(**s) for s in scenarios)))
+        table.write_csv(tmp_path / "api.csv")
+        assert out_path.read_bytes() == (tmp_path / "api.csv").read_bytes()
 
 
 class TestRealdataCommand:

@@ -257,6 +257,20 @@ class TestLoadDelimited:
         ds = load_delimited(f, "csv")
         assert ds.classes["b"].shape == (2, 2)
 
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        f = tmp_path / "d.tsv"
+        f.write_text("# class, then the series\n1\t0.0\t1.0  # first\n\n2\t3.0\t4.0\n"
+                     "2\t5.0\t6.0\n1\t9.0\t8.0\n")
+        ds = load_delimited(f, "ucr-tsv")
+        np.testing.assert_array_equal(ds.classes["1"], [[0.0, 1.0], [9.0, 8.0]])
+        np.testing.assert_array_equal(ds.classes["2"], [[3.0, 4.0], [5.0, 6.0]])
+
+    def test_label_only_row_names_line(self, tmp_path):
+        f = tmp_path / "d.tsv"
+        f.write_text("1\t0.0\t1.0\n2\n")
+        with pytest.raises(ValueError, match="line 2: expected a label plus at least one value"):
+            load_delimited(f, "ucr-tsv")
+
     def test_ragged_row_names_line(self, tmp_path):
         f = tmp_path / "d.tsv"
         f.write_text("1\t0.0\t1.0\n2\t3.0\n")

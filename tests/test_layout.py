@@ -1,5 +1,6 @@
 """Every public function of the package is either its API or used by it,
-and relabellings are drawn and judged in one place.
+relabellings are drawn and judged in one place, and data files are read
+in one place.
 
 A function that only the tests call is a reference implementation and
 belongs in ``tests/reference.py``.
@@ -52,6 +53,23 @@ def test_settings_come_from_arguments():
         for node in ast.walk(tree)
         if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
         or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+    ]
+    assert found == []
+
+
+#: numpy's text readers, which ``harness.read_rows`` stands in for
+TEXT_READERS = {"loadtxt", "genfromtxt", "fromstring"}
+
+
+def test_one_reader_for_data_files():
+    """Every data file goes through ``harness.read_rows``, which names the
+    line of a bad row."""
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in TEXT_READERS
     ]
     assert found == []
 
