@@ -91,12 +91,10 @@ def _cmd_diagnose(args):
     sample = _load_sample(args.data, args.n)
     report, c = diagnostics.diagnose(sample, _from_args(KernelSpec, args), args.seed)
     print("measure,value")
-    for name in ("mean_gap", "var_gap", "marginal_ed_sum", "cov_gap"):
-        print(f"{name},{getattr(report, name):.10g}")
-    print(f"regime_hint,{report.regime_hint}")
-    if c is not None:
-        for name in ("e_x", "e_y", "e_xy", "v_x", "v_y", "v_xy"):
-            print(f"{name},{getattr(c, name):.10g}")
+    for part in (report, c) if c is not None else (report,):
+        for f in fields(part):
+            value = getattr(part, f.name)
+            print(f"{f.name},{value}" if isinstance(value, str) else f"{f.name},{value:.10g}")
 
 
 def _cmd_asymptotics(args):

@@ -1,10 +1,11 @@
 """Seeded generators for the four simulation designs of the study harness.
 
 Example 1 is the null design (both groups share an AR-correlated law).
-Example 2 adds small mean shifts and/or scale changes on a beta-fraction of
-coordinates. Example 3 swaps the marginal distribution of a beta-fraction
-of coordinates while keeping means and variances fixed. Example 4 builds
-binary vectors whose low-order margins match but whose joint law differs.
+Example 2 shifts the means and/or scales the standard deviations, V's
+included, of Y's first floor(beta*p) coordinates. Example 3 swaps the
+marginal distribution of a beta-fraction of coordinates while keeping means
+and variances fixed. Example 4 builds binary vectors whose low-order margins
+match but whose joint law differs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ class ScenarioConfig:
             raise ValueError(f"unknown innovation {self.innovation!r}")
         if self.v_diag not in ("ones", "uniform"):
             raise ValueError(f"unknown v_diag {self.v_diag!r}")
+
+    @property
+    def label(self) -> str:
+        """The scenario's name in study results; a uniform V names its seed."""
+        v = self.v_diag if self.v_diag == "ones" else f"{self.v_diag}(v_seed={self.v_seed})"
+        return (f"ex{self.example}:p={self.p},n={self.n},m={self.m},beta={self.beta:g},"
+                f"rho={self.rho:g},innov={self.innovation},v={v}")
 
 
 def ar_correlation(p: int, rho: float) -> np.ndarray:
@@ -105,28 +113,27 @@ def gen_example1(cfg: ScenarioConfig) -> LabeledSample:
     return LabeledSample(z @ a, cfg.n, cfg.m)
 
 
+#: (Y shift, Y standard-deviation scale) on the first floor(beta*p) coordinates
+_EXAMPLE2 = {"2i": (0.125, 1.0), "2ii": (0.0, 1.05), "2iii": (0.1, 1.04)}
+
+
 def gen_example2(cfg: ScenarioConfig) -> LabeledSample:
     """Mean-shift and/or scale alternatives on the first floor(beta*p)
-    coordinates of group Y."""
-    if cfg.example not in ("2i", "2ii", "2iii"):
+    coordinates of group Y, whose root is X's with those entries of V^{1/2}
+    scaled."""
+    if cfg.example not in _EXAMPLE2:
         raise ValueError(f"config is for example {cfg.example!r}")
     rng = np.random.default_rng(cfg.seed)
     k = int(np.floor(cfg.beta * cfg.p))
-    a_x = _base_sqrt(cfg.p, cfg.rho, _v_half_diag(cfg))
-
-    shift = np.zeros(cfg.p)
-    if cfg.example == "2i":
-        shift[:k] = 0.125
-        a_y = a_x
-    else:
-        if cfg.example == "2iii":
-            shift[:k] = 0.1
-        scale = 1.05 if cfg.example == "2ii" else 1.04
-        a_y = _base_sqrt(cfg.p, cfg.rho, (scale,) * k + (1.0,) * (cfg.p - k))
-
+    shift, scale = _EXAMPLE2[cfg.example]
+    v = _v_half_diag(cfg)
+    a_x = _base_sqrt(cfg.p, cfg.rho, v)
+    a_y = _base_sqrt(cfg.p, cfg.rho, tuple(s * scale for s in v[:k]) + v[k:])
+    shifts = np.zeros(cfg.p)
+    shifts[:k] = shift
     zx = _innovations(rng, cfg.n, cfg.p, cfg.innovation)
     zy = _innovations(rng, cfg.m, cfg.p, cfg.innovation)
-    data = np.vstack([zx @ a_x, shift + zy @ a_y])
+    data = np.vstack([zx @ a_x, shifts + zy @ a_y])
     return LabeledSample(data, cfg.n, cfg.m)
 
 
@@ -161,33 +168,20 @@ def gen_example4(cfg: ScenarioConfig) -> LabeledSample:
     rng = np.random.default_rng(cfg.seed)
     x = rng.integers(0, 2, size=(cfg.n, cfg.p)).astype(float)
     y = rng.integers(0, 2, size=(cfg.m, cfg.p)).astype(float)
-    if cfg.example == "4i":
-        blocks = int(np.floor(cfg.beta * cfg.p / 2.0))
-        draws = rng.integers(0, 2, size=(cfg.m, blocks)).astype(float)
-        y[:, : 2 * blocks : 2] = draws
-        y[:, 1 : 2 * blocks : 2] = draws  # indicator of heads equals the coin
-    else:
-        blocks = int(np.floor(cfg.beta * cfg.p / 3.0))
-        d1 = rng.integers(0, 2, size=(cfg.m, blocks)).astype(float)
-        d2 = rng.integers(0, 2, size=(cfg.m, blocks)).astype(float)
-        y[:, : 3 * blocks : 3] = d1
-        y[:, 1 : 3 * blocks : 3] = d2
-        y[:, 2 : 3 * blocks : 3] = (d1 == d2).astype(float)
+    width = 2 if cfg.example == "4i" else 3
+    blocks = int(np.floor(cfg.beta * cfg.p / width))
+    coins = [rng.integers(0, 2, size=(cfg.m, blocks)).astype(float) for _ in range(width - 1)]
+    # 4i repeats its coin (the indicator of heads); 4ii appends whether they agree
+    coins.append(coins[0] if width == 2 else (coins[0] == coins[1]).astype(float))
+    for j, column in enumerate(coins):
+        y[:, j : width * blocks : width] = column
     return LabeledSample(np.vstack([x, y]), cfg.n, cfg.m)
 
 
-_GENERATORS = {
-    "1": gen_example1,
-    "2i": gen_example2,
-    "2ii": gen_example2,
-    "2iii": gen_example2,
-    "3i": gen_example3,
-    "3ii": gen_example3,
-    "4i": gen_example4,
-    "4ii": gen_example4,
-}
+# keyed by design family; each generator checks its own variants
+_GENERATORS = {"1": gen_example1, "2": gen_example2, "3": gen_example3, "4": gen_example4}
 
 
 def generate(cfg: ScenarioConfig) -> LabeledSample:
-    """Dispatch to the generator for cfg.example."""
-    return _GENERATORS[cfg.example](cfg)
+    """Dispatch to the generator of cfg.example's design family."""
+    return _GENERATORS[cfg.example[0]](cfg)

@@ -29,11 +29,15 @@ from .permutation import PermutationPlan, decide, plan_masks
 from .statistic import LabeledSample, kernel_statistics
 
 
+def _refuse_shared_labels(labels, what: str) -> None:
+    shared = [label for label, k in Counter(labels).items() if k > 1]
+    if shared:
+        raise ValueError(f"two {what} share the label {shared[0]!r}, which keys their results")
+
+
 def _check_study(kernels, alpha: float, replications: int, permutations: int) -> None:
     """Refuse study arguments before any replication runs, not in a worker."""
-    shared = [label for label, k in Counter(s.label for s in kernels).items() if k > 1]
-    if shared:
-        raise ValueError(f"two kernels share the label {shared[0]!r}, which keys their results")
+    _refuse_shared_labels((s.label for s in kernels), "kernels")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     if replications < 1:
@@ -157,6 +161,7 @@ def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) 
     chunks of ``ceil(replications / jobs)``. A point's wall time runs from
     the previous point's last result to its own.
     """
+    _refuse_shared_labels((label for label, _ in points), "grid points")
     tasks = [
         (sampler, grid_idx, rep, kernels, alpha, permutations, master)
         for grid_idx, (_, sampler) in enumerate(points)
@@ -184,16 +189,9 @@ def _scenario_sample(cfg: ScenarioConfig, data_seed: int) -> LabeledSample:
     return generate(replace(cfg, seed=data_seed))
 
 
-def _scenario_label(cfg: ScenarioConfig) -> str:
-    return (
-        f"ex{cfg.example}:p={cfg.p},n={cfg.n},m={cfg.m},beta={cfg.beta:g},"
-        f"rho={cfg.rho:g},innov={cfg.innovation},v={cfg.v_diag}"
-    )
-
-
 def run_power_study(cfg: StudyConfig, jobs: int = 1) -> PowerTable:
     """Rejection rate per (scenario, kernel) over seeded replications."""
-    points = [(_scenario_label(scen), partial(_scenario_sample, scen)) for scen in cfg.scenarios]
+    points = [(scen.label, partial(_scenario_sample, scen)) for scen in cfg.scenarios]
     return _run_grid(points, cfg.kernels, cfg.alpha, cfg.replications, cfg.permutations,
                      cfg.seed, jobs)
 

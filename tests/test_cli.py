@@ -226,6 +226,21 @@ class TestStudyCommands:
         assert str(exc.value).startswith("hdtest power: ")
         assert "\n" not in str(exc.value)
 
+    def test_repeated_scenario_exits_with_one_line(self, tmp_path):
+        scenario = {"example": "1", "p": 10, "n": 5, "m": 5, "v_diag": "uniform"}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({
+            "scenarios": [scenario, {**scenario, "seed": 3}],
+            "kernels": ["l2"], "replications": 2, "permutations": 30,
+        }))
+        with pytest.raises(SystemExit) as exc:
+            main(["power", "--config", str(path), "--out", str(tmp_path / "t.csv")])
+        label = ScenarioConfig(**scenario).label
+        assert str(exc.value) == (
+            f"hdtest power: two grid points share the label '{label}', which keys their results"
+        )
+        assert not (tmp_path / "t.csv").exists()
+
     def test_size_alias_and_seed_override(self, tmp_path, capsys):
         out_path = tmp_path / "size.csv"
         _run(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(example="1", p=10, n=5, m=5, innovation="cauchy")
 
+    def test_unknown_v_diag(self):
+        with pytest.raises(ValueError, match="unknown v_diag 'x'"):
+            ScenarioConfig(example="1", p=10, n=5, m=5, v_diag="x")
+
+    def test_label(self):
+        cfg = ScenarioConfig(example="2ii", p=10, n=5, m=6, beta=0.25, seed=4)
+        assert cfg.label == "ex2ii:p=10,n=5,m=6,beta=0.25,rho=0.5,innov=normal,v=ones"
+        # the replication seed is not part of the name, a uniform V's seed is
+        assert replace(cfg, seed=5, v_seed=3).label == cfg.label
+        uniform = replace(cfg, v_diag="uniform", v_seed=3)
+        assert uniform.label.endswith(",v=uniform(v_seed=3)")
+
     @pytest.mark.parametrize("sizes, message", [
         ({"p": 0, "n": 5, "m": 5}, "dimension"),
         ({"p": 10, "n": 1, "m": 5}, "2 observations"),
@@ -42,6 +56,10 @@ class TestArCorrelation:
     def test_hand_matrix(self):
         expect = np.array([[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]])
         np.testing.assert_allclose(ar_correlation(3, 0.5), expect)
+
+    def test_rho_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="rho must be in"):
+            ar_correlation(5, 1.0)
 
     def test_symmetric_unit_diagonal(self):
         r = ar_correlation(12, -0.3)
@@ -112,12 +130,13 @@ class TestExample1:
 
 class TestExample2:
     def test_beta_zero_matches_null_design(self):
-        null_cfg = ScenarioConfig(example="1", p=15, n=6, m=7, seed=9)
-        for variant in ("2i", "2ii", "2iii"):
-            cfg = ScenarioConfig(example=variant, p=15, n=6, m=7, beta=0.0, seed=9)
-            np.testing.assert_allclose(
-                generate(cfg).data, gen_example1(null_cfg).data, atol=1e-12
-            )
+        for v_diag in ("ones", "uniform"):
+            null_cfg = ScenarioConfig(example="1", p=15, n=6, m=7, v_diag=v_diag, seed=9)
+            for variant in ("2i", "2ii", "2iii"):
+                cfg = replace(null_cfg, example=variant, beta=0.0)
+                np.testing.assert_allclose(
+                    generate(cfg).data, gen_example1(null_cfg).data, atol=1e-12
+                )
 
     def test_shift_variant_mean(self):
         cfg = ScenarioConfig(example="2i", p=40, n=4000, m=4000, beta=0.5, seed=10)
@@ -133,6 +152,18 @@ class TestExample2:
         # variance multiplier 1.05^2 on the first half (up to AR leakage)
         assert np.mean(ratio[:10]) > np.mean(ratio[10:])
         assert np.all(np.abs(s.y.mean(axis=0)) < 0.1)
+
+    @pytest.mark.parametrize("v_diag", ["ones", "uniform"])
+    @pytest.mark.parametrize("variant, scale", [("2ii", 1.05), ("2iii", 1.04)])
+    def test_scale_is_relative_to_x(self, variant, scale, v_diag):
+        # Y's covariance is X's, V included, with the first half of its
+        # standard deviations scaled
+        cfg = ScenarioConfig(example=variant, p=20, n=6000, m=6000, beta=0.5,
+                             v_diag=v_diag, seed=11)
+        s = gen_example2(cfg)
+        ratio = s.y.var(axis=0) / s.x.var(axis=0)
+        assert abs(np.mean(ratio[:10]) - scale**2) < 0.05
+        assert abs(np.mean(ratio[10:]) - 1.0) < 0.05
 
     def test_combined_variant_has_shift(self):
         cfg = ScenarioConfig(example="2iii", p=20, n=5000, m=5000, beta=1.0, seed=12)
@@ -213,6 +244,10 @@ class TestDispatch:
         cfg = ScenarioConfig(example="1", p=6, n=4, m=4)
         with pytest.raises(ValueError):
             gen_example3(cfg)
+        # every generator checks its own variants
+        for gen, wrong in ((gen_example1, "2i"), (gen_example2, "1"), (gen_example4, "3ii")):
+            with pytest.raises(ValueError, match=f"config is for example '{wrong}'"):
+                gen(replace(cfg, example=wrong))
 
 
 class TestSquareRootCache:

@@ -1,4 +1,6 @@
+import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +164,27 @@ class TestRunPowerStudy:
             alone = run_power_study(_tiny_study(scenarios=scen, kernels=(spec,)))
             assert alone.rows[0]["rejection_rate"] == row["rejection_rate"], spec
 
+    def test_v_seed_names_the_scenario(self, tmp_path):
+        scen = tuple(ScenarioConfig(example="1", p=12, n=6, m=6, v_diag="uniform", v_seed=v)
+                     for v in (1, 2))
+        run_power_study(_tiny_study(scenarios=scen, replications=2)).write_csv(tmp_path / "t.csv")
+        with open(tmp_path / "t.csv") as fh:
+            names = [row["scenario"] for row in csv.DictReader(fh)]
+        assert names == [scen[0].label] * 2 + [scen[1].label] * 2
+        assert scen[0].label != scen[1].label
+
+    def test_repeated_scenario_refused_before_any_replication(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran before the scenarios were checked")
+
+        monkeypatch.setattr(harness, "multi_kernel_rejections", no_work)
+        scen = ScenarioConfig(example="1", p=12, n=6, m=6)
+        # the replication seed is not part of a scenario's identity
+        cfg = _tiny_study(scenarios=(scen, ScenarioConfig("2i", p=12, n=6, m=6),
+                                     replace(scen, seed=4)))
+        with pytest.raises(ValueError, match=re.escape(f"share the label '{scen.label}'")):
+            run_power_study(cfg)
+
     def test_null_scenario_rate_near_level(self):
         cfg = _tiny_study(replications=200, permutations=60)
         table = run_power_study(cfg)
@@ -232,6 +255,14 @@ class TestRunRealdataStudy:
         args = {"replications": 2, "permutations": 40, **kwargs}
         with pytest.raises(ValueError, match=message):
             run_realdata_study(self._dataset(), [10], **args)
+
+    def test_repeated_size_refused_before_any_replication(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran before the sizes were checked")
+
+        monkeypatch.setattr(harness, "multi_kernel_rejections", no_work)
+        with pytest.raises(ValueError, match=re.escape("share the label 'realdata:a-vs-b:n=4'")):
+            run_realdata_study(self._dataset(), [4, 8, 4], replications=2, permutations=40)
 
     def test_deterministic_across_jobs(self):
         ds = self._dataset()

@@ -202,6 +202,17 @@ class TestCriticalValue:
 
 
 class TestPermutationTest:
+    def test_unknown_plan_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            PermutationPlan(mode="bogus")
+
+    def test_default_plan(self):
+        rng = np.random.default_rng(14)
+        s = LabeledSample(rng.standard_normal((10, 4)), 5, 5)
+        res = permutation_test(s, KernelSpec("l2"))
+        assert res.plan == PermutationPlan()
+        assert res == permutation_test(s, KernelSpec("l2"), plan=PermutationPlan())
+
     def test_constant_data_never_rejects(self):
         s = LabeledSample(np.ones((8, 3)), 4, 4)
         for fam in ("l1", "l2", "gaussian"):

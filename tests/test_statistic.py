@@ -56,6 +56,10 @@ class TestLabeledSample:
         with pytest.raises(ValueError):
             LabeledSample(np.zeros(4), 2, 2)
 
+    def test_no_columns_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            LabeledSample(np.zeros((4, 0)), 2, 2)
+
 
 class TestKernelMatrix:
     def test_l1_hand_values(self):
