@@ -5,7 +5,9 @@ per-class limiting mean and variance (mu_{n,w}, sigma^2_{n,w}), the exact
 hypergeometric law of the class index W, the medium-sample-size variance,
 the Gaussian-mixture cdf of the randomized statistic, and a Monte Carlo
 estimate of the limiting power of the permutation test in the fixed-sample
-regime.
+regime. f(w) and sigma^2_{n,w} sum the statistic's own
+:func:`~hdtest.statistic.pair_weights` over the pairs a class-w relabelling
+puts in each block.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 from scipy.stats import norm
 
 from .kernels import KernelSpec, phi, phi_prime
 from .permutation import PermutationPlan, decide, plan_masks
-from .statistic import masked_statistics
+from .statistic import masked_statistics, pair_weights
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,8 @@ class MomentConstants:
     v_xy: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.e_x, self.e_y, self.e_xy))):
-            raise ValueError("means must be finite")
+        if not all(math.isfinite(e) and e >= 0 for e in (self.e_x, self.e_y, self.e_xy)):
+            raise ValueError("means must be finite and nonnegative")
         _check_variances(self.v_x, self.v_y, self.v_xy)
 
 
@@ -52,12 +55,23 @@ def _check_w(n: int, m: int, w) -> None:
         raise ValueError(f"w={w} outside 0..min(n, m)")
 
 
-def f_w_frac(n: int, m: int, w: int) -> Fraction:
-    """Exact rational value of the mean-scaling polynomial f(w)."""
+def _class_pairs(n: int, m: int, w: int) -> tuple[tuple[int, int, int], ...]:
+    """Pairs of each original block (rows X, Y, cross) that a relabelling
+    swapping w of X's positions with w of Y's puts in the (cross, X, Y)
+    blocks of the statistic."""
     _check_w(n, m, w)
-    lin = Fraction(2 * m - 1, m * (m - 1)) + Fraction(2 * n - 1, n * (n - 1))
-    quad = Fraction(2, m * n) + Fraction(1, n * (n - 1)) + Fraction(1, m * (m - 1))
-    return 1 - lin * w + quad * w * w
+    return (
+        ((n - w) * w, math.comb(n - w, 2), math.comb(w, 2)),
+        ((m - w) * w, math.comb(w, 2), math.comb(m - w, 2)),
+        ((n - w) * (m - w) + w * w, (n - w) * w, w * (m - w)),
+    )
+
+
+def f_w_frac(n: int, m: int, w: int) -> Fraction:
+    """Exact f(w): minus the pair weights summed over X's pairs as class w
+    relabels them (Y's pairs give the same, the cross pairs -2 f(w))."""
+    x_pairs = _class_pairs(n, m, w)[0]
+    return -sum(k * wt for k, wt in zip(x_pairs, pair_weights(n, m)))
 
 
 def f_w(n: int, m: int, w: int) -> float:
@@ -77,35 +91,14 @@ def mu_nw(n: int, m: int, w: int, c: MomentConstants, spec: KernelSpec) -> float
 
 
 def sigma2_nw(n: int, m: int, w: int, c: MomentConstants, spec: KernelSpec) -> float:
-    """Limiting variance of the (sqrt(p)-scaled) statistic for class w."""
-    _check_w(n, m, w)
-    n2 = n * n * (n - 1) * (n - 1)
-    m2 = m * m * (m - 1) * (m - 1)
-    nm2 = n * n * m * m
-
-    gxy = phi_prime(spec, c.e_xy)
-    gx = phi_prime(spec, c.e_x)
-    gy = phi_prime(spec, c.e_y)
-
-    coef_xy = (
-        4.0 / (n * m)
-        - 4.0 * ((n + m) / nm2 - n / n2 - m / m2) * w
-        + 4.0 * (2.0 / nm2 - 1.0 / n2 - 1.0 / m2) * w * w
-    )
-    coef_x = (
-        2.0 / (n * (n - 1))
-        + 2.0 * (2.0 * n / nm2 - (2 * n - 1) / n2 - 1.0 / m2) * w
-        - 2.0 * (2.0 / nm2 - 1.0 / n2 - 1.0 / m2) * w * w
-    )
-    coef_y = (
-        2.0 / (m * (m - 1))
-        + 2.0 * (2.0 * m / nm2 - 1.0 / n2 - (2 * m - 1) / m2) * w
-        - 2.0 * (2.0 / nm2 - 1.0 / m2 - 1.0 / n2) * w * w
-    )
-    out = coef_xy * c.v_xy * gxy**2 + coef_x * c.v_x * gx**2 + coef_y * c.v_y * gy**2
-    if out < -1e-12:
-        raise ArithmeticError(f"variance formula produced {out} < 0")
-    return max(out, 0.0)
+    """Limiting variance of the (sqrt(p)-scaled) statistic for class w: per
+    original block, v phi'(e)^2 times the squared pair weights summed over
+    the block's pairs as class w relabels them."""
+    blocks = zip(_class_pairs(n, m, w), (c.v_x, c.v_y, c.v_xy), (c.e_x, c.e_y, c.e_xy))
+    # every term is nonnegative, so float sums lose nothing to cancellation
+    squares = [float(wt) ** 2 for wt in pair_weights(n, m)]
+    return sum(sum(map(mul, pairs, squares)) * v * phi_prime(spec, e) ** 2
+               for pairs, v, e in blocks)
 
 
 @dataclass(frozen=True)

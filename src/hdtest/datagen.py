@@ -48,6 +48,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown innovation {self.innovation!r}")
         if self.v_diag not in ("ones", "uniform"):
             raise ValueError(f"unknown v_diag {self.v_diag!r}")
+        for name in ("v_seed", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def label(self) -> str:

@@ -35,7 +35,8 @@ def _refuse_shared_labels(labels, what: str) -> None:
         raise ValueError(f"two {what} share the label {shared[0]!r}, which keys their results")
 
 
-def _check_study(kernels, alpha: float, replications: int, permutations: int) -> None:
+def _check_study(kernels, alpha: float, replications: int, permutations: int,
+                 seed: int) -> None:
     """Refuse study arguments before any replication runs, not in a worker."""
     _refuse_shared_labels((s.label for s in kernels), "kernels")
     if not 0 < alpha < 1:
@@ -44,6 +45,8 @@ def _check_study(kernels, alpha: float, replications: int, permutations: int) ->
         raise ValueError("replications must be >= 1")
     if permutations < 20:
         raise ValueError("need at least 20 permutations")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_study(self.kernels, self.alpha, self.replications, self.permutations)
+        _check_study(self.kernels, self.alpha, self.replications, self.permutations, self.seed)
         if not self.scenarios:
             raise ValueError("empty scenario grid")
 
@@ -161,6 +164,8 @@ def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) 
     chunks of ``ceil(replications / jobs)``. A point's wall time runs from
     the previous point's last result to its own.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     _refuse_shared_labels((label for label, _ in points), "grid points")
     tasks = [
         (sampler, grid_idx, rep, kernels, alpha, permutations, master)
@@ -213,7 +218,7 @@ def run_realdata_study(
     two in sorted order); passing the same label twice yields a
     null-by-construction control study.
     """
-    _check_study(kernels, alpha, replications, permutations)
+    _check_study(kernels, alpha, replications, permutations, seed)
     keys = sorted(dataset.classes)
     if labels is None:
         labels = (keys[0], keys[1])

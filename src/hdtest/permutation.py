@@ -35,6 +35,8 @@ class PermutationPlan:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "monte-carlo" and self.count < 1:
             raise ValueError("count must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

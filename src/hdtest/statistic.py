@@ -7,16 +7,18 @@ squared distances, is a Gram GEMM of the rows centred on row 0 (see
 :func:`psibar_matrix`: exactly symmetric, exact on integer-valued data and
 for duplicated rows); cityblock distances come from ``pdist``. One engine,
 :func:`masked_pair_sums`, gives the cross and within-group pair sums for a
-batch of group masks, over one matrix or a stack of them; the statistic and
-the diagnostics combine them. :func:`kernel_statistics` is the one path from
-a sample and its kernels to the permuted statistics, for the test and the
-studies alike.
+batch of group masks, over one matrix or a stack of them; the statistic
+weighs them by :func:`pair_weights`, which the limit formulas of
+:mod:`hdtest.asymptotics` sum too, and the diagnostics combine them.
+:func:`kernel_statistics` is the one path from a sample and its kernels to
+the permuted statistics, for the test and the studies alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -135,6 +137,17 @@ def build_kernel_matrix(sample: LabeledSample, spec: KernelSpec) -> KernelMatrix
     return kernel_matrix_from_psibar(pb, spec, sample.n, sample.m)
 
 
+def pair_weights(n: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The statistic's exact weight per (cross, within-X, within-Y) pair.
+    Each converts to the correctly rounded float of its quotient."""
+    return Fraction(2, n * m), Fraction(-2, n * (n - 1)), Fraction(-2, m * (m - 1))
+
+
+def _combine(cross, within_x, within_y, n: int, m: int):
+    w_xy, w_x, w_y = map(float, pair_weights(n, m))
+    return w_xy * cross + w_x * within_x + w_y * within_y
+
+
 def ed_statistic(km: KernelMatrix) -> float:
     """Unbiased estimator: 2*mean(cross) - mean(within X) - mean(within Y).
 
@@ -145,11 +158,7 @@ def ed_statistic(km: KernelMatrix) -> float:
     cross = math.fsum(k[:n, n:].ravel().tolist())
     within_x = math.fsum(k[:n, :n][np.triu_indices(n, 1)].tolist())
     within_y = math.fsum(k[n:, n:][np.triu_indices(m, 1)].tolist())
-    return (
-        2.0 / (m * n) * cross
-        - 2.0 / (n * (n - 1)) * within_x
-        - 2.0 / (m * (m - 1)) * within_y
-    )
+    return _combine(cross, within_x, within_y, n, m)
 
 
 def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
@@ -183,12 +192,7 @@ def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> 
     """Permuted statistics for a batch of group-X masks, shape (..., S) for
     ``values`` of shape (..., n+m, n+m): each is a fixed re-weighting of the
     kernel matrix entries, see :func:`masked_pair_sums`."""
-    cross, within_x, within_y = masked_pair_sums(values, n, m, masks)
-    return (
-        2.0 / (m * n) * cross
-        - 2.0 / (n * (n - 1)) * within_x
-        - 2.0 / (m * (m - 1)) * within_y
-    )
+    return _combine(*masked_pair_sums(values, n, m, masks), n, m)
 
 
 def kernel_statistics(sample: LabeledSample, kernels, masks: np.ndarray) -> np.ndarray:

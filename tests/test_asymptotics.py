@@ -21,7 +21,7 @@ from hdtest.asymptotics import (
 )
 from hdtest.kernels import KernelSpec, phi, phi_prime
 from hdtest.permutation import PermutationPlan, exact_masks, plan_masks
-from hdtest.statistic import masked_statistics
+from hdtest.statistic import masked_pair_sums, masked_statistics, pair_weights
 from tests.reference import power_limit_mc_loop, s_w_cardinality
 
 
@@ -159,6 +159,52 @@ class TestSigma2NW:
     def test_nan_variance_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             MomentConstants(1.0, 1.0, 1.0, math.nan, 1.0, 1.0)
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_negative_mean_rejected(self, which):
+        means = [1.0, 1.0, 1.0]
+        means[which] = -1.0
+        with pytest.raises(ValueError, match="means must be finite and nonnegative"):
+            MomentConstants(*means, 1.0, 1.0, 1.0)
+
+    def test_zero_means_allowed(self):
+        # constant data gives e = 0
+        c = MomentConstants(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        assert sigma2_nw(4, 5, 2, c, KernelSpec("l1")) > 0.0
+
+
+def _block_indicators(n, m):
+    """(3, n+m, n+m) zero-diagonal indicators of the X, Y and cross pairs."""
+    x = np.arange(n + m) < n
+    out = np.stack([np.outer(x, x), np.outer(~x, ~x), np.outer(x, ~x) | np.outer(~x, x)])
+    out = out.astype(float)
+    out[:, np.arange(n + m), np.arange(n + m)] = 0.0
+    return out
+
+
+def test_limit_formulas_count_the_engines_pairs():
+    """For every mask, the statistic over each original block's indicator is
+    that block's f(w) share, and its squared weights give sigma^2_{n,w}."""
+    spec = KernelSpec("l1")
+    for n in range(2, 7):
+        for m in range(2, 7):
+            masks = exact_masks(n, m)[0]
+            w = n - masks[:, :n].sum(axis=1)
+            support = range(min(n, m) + 1)
+            blocks = _block_indicators(n, m)
+            f = np.array([f_w(n, m, k) for k in support])[w]
+            stats = masked_statistics(blocks, n, m, masks)
+            np.testing.assert_allclose(stats, [-f, -f, 2 * f], rtol=0, atol=1e-12,
+                                       err_msg=f"n={n}, m={m}")
+            # for n = m the within sums may come back swapped; their squared
+            # weights are then equal, so only the combined values are compared
+            squares = [float(wt * wt) for wt in pair_weights(n, m)]
+            got = sum(s * sums for s, sums in zip(squares, masked_pair_sums(blocks, n, m, masks)))
+            for block, v in enumerate(np.eye(3)):  # v_x, v_y, v_xy one at a time
+                c = MomentConstants(1.0, 1.0, 1.0, *v)
+                expect = np.array([sigma2_nw(n, m, k, c, spec) for k in support])[w]
+                np.testing.assert_allclose(got[block], expect, rtol=1e-12, atol=0,
+                                           err_msg=f"n={n}, m={m}, block {block}")
 
 
 class TestHypergeometric:

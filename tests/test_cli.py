@@ -153,6 +153,7 @@ class TestAsymptotics:
     @pytest.mark.parametrize("argv, message", [
         (["--v-x", "nan"], "variances must be finite"),
         (["--e-xy", "inf"], "means must be finite"),
+        (["--e-x", "-1"], "means must be finite and nonnegative"),
     ])
     def test_bad_constants_exit_with_one_line(self, argv, message):
         with pytest.raises(SystemExit, match=message) as exc:
@@ -240,6 +241,15 @@ class TestStudyCommands:
             f"hdtest power: two grid points share the label '{label}', which keys their results"
         )
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_with_one_line(self, tmp_path, jobs):
+        out_path = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["power", "--config", str(self._config(tmp_path)), "--jobs", jobs,
+                  "--out", str(out_path)])
+        assert str(exc.value) == "hdtest power: jobs must be >= 1"
+        assert not out_path.exists()
 
     def test_size_alias_and_seed_override(self, tmp_path, capsys):
         out_path = tmp_path / "size.csv"
@@ -387,6 +397,9 @@ class TestErrorBoundary:
          "at least 20 permutations"),
         (["power", "--config", "{study}", "--jobs", "2", "--out", "{out}"],
          "alpha must be in"),
+        (["gen", "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
+        (["realdata", "--file", "{tsv}", "--sizes", "4", "--jobs", "0", "--out", "{out}"],
+         "jobs must be >= 1"),
     ])
     def test_value_error_exits_with_one_line(self, files, argv, message):
         argv = [arg.format(**files) for arg in argv]

@@ -31,6 +31,11 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="unknown v_diag 'x'"):
             ScenarioConfig(example="1", p=10, n=5, m=5, v_diag="x")
 
+    @pytest.mark.parametrize("field", ["seed", "v_seed"])
+    def test_negative_seed_refused(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+            ScenarioConfig(example="1", p=10, n=5, m=5, **{field: -1})
+
     def test_label(self):
         cfg = ScenarioConfig(example="2ii", p=10, n=5, m=6, beta=0.25, seed=4)
         assert cfg.label == "ex2ii:p=10,n=5,m=6,beta=0.25,rho=0.5,innov=normal,v=ones"

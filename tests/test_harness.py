@@ -31,6 +31,11 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(scenarios=scen, replications=0)
 
+    def test_negative_seed_refused(self):
+        scen = (ScenarioConfig(example="1", p=10, n=5, m=5),)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            StudyConfig(scenarios=scen, seed=-1)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
     def test_alpha_outside_unit_interval(self, alpha):
         scen = (ScenarioConfig(example="1", p=10, n=5, m=5),)
@@ -185,6 +190,15 @@ class TestRunPowerStudy:
         with pytest.raises(ValueError, match=re.escape(f"share the label '{scen.label}'")):
             run_power_study(cfg)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused_before_any_replication(self, monkeypatch, jobs):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran before jobs was checked")
+
+        monkeypatch.setattr(harness, "multi_kernel_rejections", no_work)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_power_study(_tiny_study(), jobs=jobs)
+
     def test_null_scenario_rate_near_level(self):
         cfg = _tiny_study(replications=200, permutations=60)
         table = run_power_study(cfg)
@@ -246,6 +260,9 @@ class TestRunRealdataStudy:
         ({"replications": 0}, "replications"),
         ({"permutations": 0}, "permutations"),
         ({"alpha": 1.5}, "alpha"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"jobs": 0}, "jobs must be >= 1"),
+        ({"jobs": -3}, "jobs must be >= 1"),
     ])
     def test_bad_arguments_rejected_before_any_replication(self, monkeypatch, kwargs, message):
         def no_work(*args, **kwargs):

@@ -206,6 +206,11 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             PermutationPlan(mode="bogus")
 
+    @pytest.mark.parametrize("mode", ["monte-carlo", "exact"])
+    def test_negative_seed_refused(self, mode):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            PermutationPlan(mode=mode, seed=-3)
+
     def test_default_plan(self):
         rng = np.random.default_rng(14)
         s = LabeledSample(rng.standard_normal((10, 4)), 5, 5)
