@@ -222,11 +222,16 @@ def run_realdata_study(
     keys = sorted(dataset.classes)
     if labels is None:
         labels = (keys[0], keys[1])
+    if len(labels) != 2 or not all(label in dataset.classes for label in labels):
+        raise ValueError(f"labels must name two of the dataset's classes {keys}, "
+                         f"not {tuple(labels)!r}")
     a, b = dataset.classes[labels[0]], dataset.classes[labels[1]]
     same_class = labels[0] == labels[1]
     # a same-class control draws 2n disjoint rows of one class
     most = min(a.shape[0], b.shape[0]) // (2 if same_class else 1)
     sizes = list(sizes)
+    if not sizes:
+        raise ValueError("empty size grid")
     for n in sizes:  # all checked before any replication runs
         if not 2 <= n <= most:
             why = "is below 2" if n < 2 else "exceeds a class size"

@@ -14,8 +14,15 @@ from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+from scipy.stats import norm
 
-from hdtest.asymptotics import GaussianProcessSpec
+from hdtest.asymptotics import (
+    GaussianProcessSpec,
+    HypergeometricLaw,
+    MomentConstants,
+    hypergeom_pmf,
+    sigma2_nw,
+)
 from hdtest.diagnostics import _cov_gap
 from hdtest.kernels import KernelSpec, phi
 from hdtest.permutation import PermutationPlan, decide, plan_masks
@@ -138,6 +145,21 @@ def power_limit_mc_loop(
     rate = rejections / draws
     se = math.sqrt(rate * (1.0 - rate) / draws)
     return rate, se, stats
+
+
+def mixture_normal_cdf_scipy(a_values, n: int, m: int, c: MomentConstants,
+                             spec: KernelSpec) -> np.ndarray:
+    """``mixture_normal_cdf`` at each of ``a_values`` with scipy's normal cdf,
+    summing the components in the same order; a zero-variance component is
+    a point mass at 0."""
+    a = np.asarray(a_values, dtype=float)
+    law = HypergeometricLaw(n, m)
+    out = np.zeros_like(a)
+    for w in law.support:
+        pw = float(hypergeom_pmf(law, w))
+        s2 = sigma2_nw(n, m, w, c, spec)
+        out += pw * ((a >= 0).astype(float) if s2 == 0.0 else norm.cdf(a / math.sqrt(s2)))
+    return out
 
 
 def n_of_gamma(perm, n: int, m: int) -> int:

@@ -19,10 +19,10 @@ from hdtest.asymptotics import (
     sigma2_hdmss,
     sigma2_nw,
 )
-from hdtest.kernels import KernelSpec, phi, phi_prime
+from hdtest.kernels import FAMILIES, KernelSpec, phi, phi_prime
 from hdtest.permutation import PermutationPlan, exact_masks, plan_masks
 from hdtest.statistic import masked_pair_sums, masked_statistics, pair_weights
-from tests.reference import power_limit_mc_loop, s_w_cardinality
+from tests.reference import mixture_normal_cdf_scipy, power_limit_mc_loop, s_w_cardinality
 
 
 def grouped_sigma2(n, m, w, c, spec):
@@ -299,12 +299,53 @@ class TestMixtureNormalCdf:
         assert mixture_normal_cdf(0.0, 4, 4, c, spec) == pytest.approx(1.0)
         assert mixture_normal_cdf(-0.1, 4, 4, c, spec) == pytest.approx(0.0, abs=1e-15)
 
+    @staticmethod
+    def _assert_matches_scipy(n, m, c, spec):
+        """|error| <= 1e-15, and <= 1e-12 relative wherever scipy's value is at
+        least 1e-300, from -40 to +40 of the largest component's sigma, at 0
+        and at +-1e6."""
+        sigma = math.sqrt(max(sigma2_nw(n, m, w, c, spec) for w in range(min(n, m) + 1)))
+        a = np.concatenate([sigma * np.arange(-40, 41), [0.0, -1e6, 1e6]])
+        ref = mixture_normal_cdf_scipy(a, n, m, c, spec)
+        got = np.array([mixture_normal_cdf(float(x), n, m, c, spec) for x in a])
+        err = np.abs(got - ref)
+        assert err.max() <= 1e-15
+        normal = ref >= 1e-300
+        assert (err[normal] <= 1e-12 * ref[normal]).all()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 7), (10, 10), (12, 30), (30, 30)])
+    def test_matches_scipy_normal_cdf(self, family, n, m):
+        for c in (MomentConstants(1.0, 1.5, 2.0, 0.7, 1.3, 2.9),
+                  MomentConstants(0.3, 0.2, 4.0, 5.0, 0.01, 1.0)):
+            self._assert_matches_scipy(n, m, c, KernelSpec(family))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_zero_variances_match_scipy(self, family):
+        # all three zero makes every class a point mass at 0
+        for c in (MomentConstants(1.0, 1.5, 2.0, 0.0, 0.0, 0.0),
+                  MomentConstants(1.0, 1.5, 2.0, 0.0, 0.0, 3.0),
+                  MomentConstants(1.0, 1.5, 2.0, 2.0, 0.0, 0.0)):
+            for n, m in ((2, 2), (4, 9), (30, 30)):
+                self._assert_matches_scipy(n, m, c, KernelSpec(family))
+
 
 class TestPowerLimitMC:
     def test_zero_process_never_rejects(self):
         gp = GaussianProcessSpec(3, 3, 0.0, 0.0, 0.0)
         rate, se = power_limit_mc(gp, 0.05, PermutationPlan(mode="exact"), 1000)
         assert rate == 0.0 and se == 0.0
+
+    @pytest.mark.parametrize("plan", [PermutationPlan(mode="exact"), PermutationPlan(count=50)])
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch, plan):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw ran before the seed was checked")
+
+        monkeypatch.setattr(asymptotics, "plan_masks", no_draw)
+        monkeypatch.setattr(asymptotics, "_limit_statistics", no_draw)
+        gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            power_limit_mc(gp, 0.05, plan, 1000, seed=-1)
 
     def test_minimum_draws_enforced(self):
         gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)

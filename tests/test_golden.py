@@ -3,13 +3,23 @@
 A change that alters any RNG stream, the chunking of replications or the
 decision rule shows up here as a digest mismatch. Update a digest only
 when the change is deliberate, and say so in CHANGES.md.
+
+The suite runs on one BLAS thread (see ``conftest.py``); the studies are
+also run in a fresh interpreter on two, where their digests must not move.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdtest
 from hdtest.datagen import ScenarioConfig
 from hdtest.harness import RealDataset, StudyConfig, run_power_study, run_realdata_study
 
@@ -18,10 +28,11 @@ REALDATA_SHA256 = "e5b7460ae7ac1f9dcc3117198883840258c6f31dabf7022f2734529829986
 SAME_CLASS_SHA256 = "7f47f3b7470b424e65f78aae10a9faecb53120289fae7e0154ca724b0d0176fb"
 
 
-def _csv_sha256(table, tmp_path) -> str:
-    path = tmp_path / "table.csv"
-    table.write_csv(path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _csv_sha256(table) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        table.write_csv(path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _dataset():
@@ -34,8 +45,7 @@ def _dataset():
     )
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_power_study_csv(jobs, tmp_path):
+def _power_table(jobs):
     cfg = StudyConfig(
         scenarios=(
             ScenarioConfig("1", p=60, n=12, m=12),
@@ -47,21 +57,61 @@ def test_power_study_csv(jobs, tmp_path):
         permutations=40,
         seed=11,
     )
-    assert _csv_sha256(run_power_study(cfg, jobs=jobs), tmp_path) == POWER_SHA256
+    return run_power_study(cfg, jobs=jobs)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_realdata_study_csv(jobs, tmp_path):
-    table = run_realdata_study(
+def _realdata_table(jobs):
+    return run_realdata_study(
         _dataset(), [4, 6], replications=10, permutations=40, seed=3, jobs=jobs
     )
-    assert _csv_sha256(table, tmp_path) == REALDATA_SHA256
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_same_class_control_csv(jobs, tmp_path):
-    table = run_realdata_study(
+def _same_class_table(jobs):
+    return run_realdata_study(
         _dataset(), [4, 6], replications=10, permutations=40, seed=4,
         labels=("b", "b"), jobs=jobs,
     )
-    assert _csv_sha256(table, tmp_path) == SAME_CLASS_SHA256
+
+
+#: each study's table builder and its pinned digest
+STUDIES = {
+    "power": (_power_table, POWER_SHA256),
+    "realdata": (_realdata_table, REALDATA_SHA256),
+    "same_class": (_same_class_table, SAME_CLASS_SHA256),
+}
+
+
+def study_digests() -> dict:
+    """Each study's CSV digest at one job, keyed as in :data:`STUDIES`."""
+    return {name: _csv_sha256(build(1)) for name, (build, _) in STUDIES.items()}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_power_study_csv(jobs):
+    assert _csv_sha256(_power_table(jobs)) == POWER_SHA256
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_realdata_study_csv(jobs):
+    assert _csv_sha256(_realdata_table(jobs)) == REALDATA_SHA256
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_same_class_control_csv(jobs):
+    assert _csv_sha256(_same_class_table(jobs)) == SAME_CLASS_SHA256
+
+
+def test_study_digests_at_two_blas_threads():
+    """BLAS reads its thread count when numpy loads, so the studies run in a
+    fresh interpreter with two threads."""
+    root = Path(__file__).resolve().parents[1]
+    src = Path(hdtest.__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "2"),
+        "PYTHONPATH": os.pathsep.join([str(root), str(src), os.environ.get("PYTHONPATH", "")]),
+    }
+    code = "import json; from tests.test_golden import study_digests; print(json.dumps(study_digests()))"
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == {name: digest for name, (_, digest) in STUDIES.items()}

@@ -263,15 +263,18 @@ class TestRunRealdataStudy:
         ({"seed": -1}, "seed must be >= 0"),
         ({"jobs": 0}, "jobs must be >= 1"),
         ({"jobs": -3}, "jobs must be >= 1"),
+        ({"sizes": []}, "empty size grid"),
+        ({"labels": ("a", "zzz")}, re.escape("classes ['a', 'b'], not ('a', 'zzz')")),
+        ({"labels": ("a",)}, re.escape("classes ['a', 'b'], not ('a',)")),
     ])
     def test_bad_arguments_rejected_before_any_replication(self, monkeypatch, kwargs, message):
         def no_work(*args, **kwargs):
             raise AssertionError("a replication ran before the arguments were checked")
 
         monkeypatch.setattr(harness, "multi_kernel_rejections", no_work)
-        args = {"replications": 2, "permutations": 40, **kwargs}
+        args = {"sizes": [10], "replications": 2, "permutations": 40, **kwargs}
         with pytest.raises(ValueError, match=message):
-            run_realdata_study(self._dataset(), [10], **args)
+            run_realdata_study(self._dataset(), **args)
 
     def test_repeated_size_refused_before_any_replication(self, monkeypatch):
         def no_work(*args, **kwargs):

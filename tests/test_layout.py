@@ -1,12 +1,16 @@
 """Every public function of the package is either its API or used by it,
-relabellings are drawn and judged in one place, and data files are read
-in one place.
+relabellings are drawn and judged in one place, data files are read in
+one place, and scipy is used for the l1 distances only.
 
 A function that only the tests call is a reference implementation and
 belongs in ``tests/reference.py``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hdtest
@@ -91,3 +95,41 @@ def test_one_sampler_and_one_rule():
         and node.func.attr in SAMPLER_AND_RULE
     ]
     assert found == []
+
+
+#: the one scipy module the package imports, for ``pdist``/``squareform``
+SCIPY_DISTANCES = "scipy.spatial.distance"
+
+
+def _imported_names(node) -> list:
+    """Dotted names an absolute import statement brings in."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_scipy_only_for_distances():
+    """No module imports from scipy but ``scipy.spatial.distance``."""
+    found = [
+        f"{module}:{node.lineno} {name}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        for name in _imported_names(node)
+        if name.split(".")[0] == "scipy"
+        and not f"{name}.".startswith(f"{SCIPY_DISTANCES}.")
+    ]
+    assert found == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """A fresh interpreter importing the package and its command line loads
+    no ``scipy.stats`` module (this process has, through the tests)."""
+    code = ("import json, sys, hdtest, hdtest.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats'])))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == []
