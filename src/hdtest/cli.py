@@ -138,9 +138,19 @@ def _cmd_power(args):
     print(f"wrote {len(table.rows)} rows to {args.out}")
 
 
+def _sizes(text: str) -> list[int]:
+    sizes = []
+    for field in text.split(","):
+        try:
+            sizes.append(int(field))
+        except ValueError:
+            raise ValueError(f"--sizes: {field!r} is not an integer") from None
+    return sizes
+
+
 def _cmd_realdata(args):
+    sizes = _sizes(args.sizes)
     dataset = harness.load_delimited(args.file, args.format)
-    sizes = [int(s) for s in args.sizes.split(",")]
     kernels = tuple(_from_args(KernelSpec, args, family=f) for f in FAMILIES)
     table = harness.run_realdata_study(
         dataset,

@@ -7,6 +7,10 @@ deterministically from the master seed plus its (grid index, replication
 index) coordinates, so results are byte-identical regardless of how many
 workers execute them.
 
+A replication keeps only each kernel's decision, so it draws and evaluates
+its Monte Carlo masks in chunks and stops once every kernel's decision is
+fixed; the decisions, and the tables, are those of all S masks.
+
 Data files, the command line's too, are read by :func:`read_rows`.
 """
 
@@ -25,8 +29,8 @@ import numpy as np
 
 from .datagen import ScenarioConfig, generate
 from .kernels import FAMILIES, KernelSpec
-from .permutation import PermutationPlan, decide, plan_masks
-from .statistic import LabeledSample, kernel_statistics
+from .permutation import _sequential_rejections
+from .statistic import LabeledSample, kernel_matrix_stack
 
 
 def _refuse_shared_labels(labels, what: str) -> None:
@@ -38,6 +42,8 @@ def _refuse_shared_labels(labels, what: str) -> None:
 def _check_study(kernels, alpha: float, replications: int, permutations: int,
                  seed: int) -> None:
     """Refuse study arguments before any replication runs, not in a worker."""
+    if not kernels:
+        raise ValueError("empty kernel list")
     _refuse_shared_labels((s.label for s in kernels), "kernels")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
@@ -136,9 +142,10 @@ def multi_kernel_rejections(
     seed: int,
 ) -> dict:
     """Each kernel's decision on one dataset, keyed by its label, all
-    kernels sharing the same S-1 random permutations."""
-    masks, _ = plan_masks(PermutationPlan(count=permutations, seed=seed), sample.n, sample.m)
-    _, reject = decide(kernel_statistics(sample, kernels, masks), alpha)
+    kernels sharing the same S-1 random permutations. Masks are drawn only
+    until every decision is fixed; each is the one of all S masks."""
+    reject = _sequential_rejections(kernel_matrix_stack(sample, kernels), sample.n, sample.m,
+                                    alpha, permutations, seed)
     return {spec.label: bool(r) for spec, r in zip(kernels, reject)}
 
 

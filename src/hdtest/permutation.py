@@ -3,10 +3,17 @@
 The statistic only depends on which positions receive an X label, so the
 (n+m)! permutations of the pooled rows give C(n+m, n) distinct values, each
 shared by n!*m! permutations. Exact mode walks those C(n+m, n) group-X
-masks; Monte Carlo mode draws S-1 uniform relabellings after the identity.
+masks; Monte Carlo mode draws S-1 uniform relabellings after the identity,
+one stream whether drawn at once (:func:`sample_masks`) or in chunks.
 :func:`plan_masks` puts the identity in row 0 in both modes, so the observed
 statistic is its own entry of the distribution and the p-value is valid and
 >= 1/S; :func:`decide` is the one quantile/reject rule.
+
+:func:`permutation_test` evaluates all S masks, since its p-value needs
+them all. A study keeps only the decisions, and
+:func:`_sequential_rejections` gives ``decide``'s decisions over all S
+Monte Carlo masks while drawing and evaluating them chunk by chunk, only
+until each kernel's decision is fixed.
 """
 
 from __future__ import annotations
@@ -18,7 +25,14 @@ from itertools import chain, combinations
 import numpy as np
 
 from .kernels import KernelSpec
-from .statistic import LabeledSample, kernel_statistics
+from .statistic import (
+    LabeledSample,
+    _bitwise_rows,
+    _combine,
+    _masked_pair_sums,
+    kernel_statistics,
+    pair_weights,
+)
 
 #: exact enumeration builds at most this many group-X masks
 EXACT_MASK_CAP = 100_000
@@ -67,17 +81,26 @@ def exact_masks(n: int, m: int):
     return masks, math.factorial(n) * math.factorial(m)
 
 
-def sample_masks(n: int, m: int, count: int, seed: int) -> np.ndarray:
-    """Identity mask plus count-1 masks from uniform random permutations.
+def _mask_chunks(n: int, m: int, count: int, seed: int, chunks: int):
+    """The rows of :func:`sample_masks` in ``chunks`` consecutive near-equal
+    blocks, each drawn when it is asked for.
 
     Shuffling the rows of a tiled arange in order draws the same stream as
-    count-1 successive ``rng.permutation(n + m)`` calls.
+    count-1 successive ``rng.permutation(n + m)`` calls, so the blocks are
+    the one-block rows bit for bit; row 0 is the identity.
     """
     rng = np.random.default_rng(seed)
-    perms = np.tile(np.arange(n + m), (count, 1))
-    shuffled = perms[1:]
-    rng.permuted(shuffled, axis=1, out=shuffled)
-    return perms < n
+    for i in range(chunks):
+        start, stop = count * i // chunks, count * (i + 1) // chunks
+        perms = np.tile(np.arange(n + m), (stop - start, 1))
+        shuffled = perms[1:] if start == 0 else perms
+        rng.permuted(shuffled, axis=1, out=shuffled)
+        yield perms < n
+
+
+def sample_masks(n: int, m: int, count: int, seed: int) -> np.ndarray:
+    """Identity mask plus count-1 masks from uniform random permutations."""
+    return next(_mask_chunks(n, m, count, seed, 1))
 
 
 def plan_masks(plan: PermutationPlan, n: int, m: int) -> tuple[np.ndarray, int]:
@@ -94,6 +117,14 @@ def plan_masks(plan: PermutationPlan, n: int, m: int) -> tuple[np.ndarray, int]:
     return exact_masks(n, m)
 
 
+def _tail_size(alpha: float, size: int) -> int:
+    """k = floor(alpha S): a level-alpha rejection lets at most k of the S
+    statistics, the observed one included, reach the observed one."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    return math.floor(alpha * size)
+
+
 def decide(stats: np.ndarray, alpha: float):
     """The (1-alpha) randomization quantile along the last axis of ``stats``
     and whether the observed statistic, column 0, strictly exceeds it.
@@ -105,12 +136,51 @@ def decide(stats: np.ndarray, alpha: float):
     rank is the same in permutation units. Returns (critical, reject), each with the shape of
     ``stats`` minus its last axis.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
     size = stats.shape[-1]
-    rank = size - math.floor(alpha * size) - 1
+    rank = size - _tail_size(alpha, size) - 1
     crit = np.partition(stats, rank, axis=-1)[..., rank]
     return crit, stats[..., 0] > crit
+
+
+def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
+                           count: int, seed: int) -> np.ndarray:
+    """``decide(masked_statistics(values, n, m, sample_masks(n, m, count,
+    seed)), alpha)[1]`` for a (K, n+m, n+m) stack ``values``, drawing and
+    evaluating the masks only until every decision is fixed.
+
+    ``decide`` rejects iff at most k = floor(alpha S) statistics reach the
+    observed one, column 0. So a kernel accepts once k+1 evaluated
+    statistics reach it and rejects once S-k fall below it: Besag and
+    Clifford's (1991) sequential rule with S and the decision unchanged.
+    The masks come in near-equal chunks of at least :func:`_bitwise_rows`
+    rows, whose statistics are those of one call over all S masks bit for
+    bit, so not even a near-tie can decide differently. A decided kernel
+    leaves the stack, and no chunk is drawn once none is left.
+    """
+    if count < 1:
+        raise ValueError("count must be positive")
+    k = _tail_size(alpha, count)
+    weights = tuple(map(float, pair_weights(n, m)))
+    chunks = max(1, count // _bitwise_rows(n + m))
+    live = np.arange(len(values))
+    reject = np.zeros(len(values), dtype=bool)
+    reached = np.zeros(len(values), dtype=np.intp)  # statistics >= the observed one
+    seen = 0
+    for masks in _mask_chunks(n, m, count, seed, chunks):
+        stats = _combine(_masked_pair_sums(values, n, m, masks), weights)
+        if seen == 0:
+            observed = stats[:, :1]
+        reached += np.count_nonzero(stats >= observed, axis=1)
+        seen += len(masks)
+        done = (reached > k) | (seen - reached >= count - k)
+        if done.any():
+            reject[live[done]] = reached[done] <= k
+            keep = ~done
+            if not keep.any():
+                break
+            live, values = live[keep], values[keep]
+            observed, reached = observed[keep], reached[keep]
+    return reject
 
 
 def _w_histogram(masks: np.ndarray, n: int, multiplicity: int) -> dict:

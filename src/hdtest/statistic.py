@@ -10,8 +10,11 @@ for duplicated rows); cityblock distances come from ``pdist``. One engine,
 batch of group masks, over one matrix or a stack of them; the statistic
 weighs them by :func:`pair_weights`, which the limit formulas of
 :mod:`hdtest.asymptotics` sum too, and the diagnostics combine them.
-:func:`kernel_statistics` is the one path from a sample and its kernels to
-the permuted statistics, for the test and the studies alike.
+:func:`kernel_matrix_stack` builds the (K, n+m, n+m) stack of a sample's
+kernels, and :func:`kernel_statistics` evaluates it under a batch of masks:
+the one path from a sample and its kernels to the permuted statistics, for
+the test and the studies alike (a study evaluates the stack chunk by chunk,
+see :mod:`hdtest.permutation`).
 """
 
 from __future__ import annotations
@@ -143,8 +146,10 @@ def pair_weights(n: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
     return Fraction(2, n * m), Fraction(-2, n * (n - 1)), Fraction(-2, m * (m - 1))
 
 
-def _combine(cross, within_x, within_y, n: int, m: int):
-    w_xy, w_x, w_y = map(float, pair_weights(n, m))
+def _combine(sums, weights):
+    """The statistic from its (cross, within-X, within-Y) pair sums and the
+    float pair weights, always summed in this order."""
+    (cross, within_x, within_y), (w_xy, w_x, w_y) = sums, weights
     return w_xy * cross + w_x * within_x + w_y * within_y
 
 
@@ -158,7 +163,7 @@ def ed_statistic(km: KernelMatrix) -> float:
     cross = math.fsum(k[:n, n:].ravel().tolist())
     within_x = math.fsum(k[:n, :n][np.triu_indices(n, 1)].tolist())
     within_y = math.fsum(k[n:, n:][np.triu_indices(m, 1)].tolist())
-    return _combine(cross, within_x, within_y, n, m)
+    return _combine((cross, within_x, within_y), map(float, pair_weights(n, m)))
 
 
 def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
@@ -188,29 +193,51 @@ def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
     return cross, within_x, within_y
 
 
+# the same engine under a name a tracer of the public functions leaves
+# alone: a study calls it once per chunk, and the number of chunks depends
+# on the data, while every public function runs a fixed number of times
+_masked_pair_sums = masked_pair_sums
+
+#: OpenBLAS takes a GEMM of at most this many multiply-adds (M*N*K) down its
+#: small-matrix path, which rounds differently from the blocked one
+_SMALL_GEMM = 10**6
+
+
+def _bitwise_rows(size: int) -> int:
+    """Fewest mask rows a batch needs for its statistics over ``size``-side
+    matrices to equal, bit for bit, those of one call over more rows: its
+    GEMM must clear the small-matrix path, and no fewer than 128 rows (at
+    size 100, batches of 64 and 100 rows differed in their last bits while
+    128, 143 and 256 matched)."""
+    return max(128, _SMALL_GEMM // size**2 + 1)
+
+
 def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> np.ndarray:
     """Permuted statistics for a batch of group-X masks, shape (..., S) for
     ``values`` of shape (..., n+m, n+m): each is a fixed re-weighting of the
     kernel matrix entries, see :func:`masked_pair_sums`."""
-    return _combine(*masked_pair_sums(values, n, m, masks), n, m)
+    return _combine(masked_pair_sums(values, n, m, masks), map(float, pair_weights(n, m)))
 
 
-def kernel_statistics(sample: LabeledSample, kernels, masks: np.ndarray) -> np.ndarray:
-    """(K, S) permuted statistics of ``sample`` for the K ``kernels`` under
-    the S group-X ``masks``.
-
+def kernel_matrix_stack(sample: LabeledSample, kernels) -> np.ndarray:
+    """The (K, n+m, n+m) stack of the K ``kernels``' matrices of ``sample``.
     Each averaged-distance matrix the kernels need (squared or cityblock) is
-    built once, and one :func:`masked_statistics` call evaluates the stack of
-    the K kernel matrices; each row is bit for bit that kernel's own 2-d call.
-    """
+    built once."""
     pb = {}
     for spec in kernels:
         squared = spec.uses_squared_differences
         if squared not in pb:
             pb[squared] = psibar_matrix(sample.data, squared)
-    values = np.stack([
+    return np.stack([
         kernel_matrix_from_psibar(pb[spec.uses_squared_differences], spec,
                                   sample.n, sample.m).values
         for spec in kernels
     ])
-    return masked_statistics(values, sample.n, sample.m, masks)
+
+
+def kernel_statistics(sample: LabeledSample, kernels, masks: np.ndarray) -> np.ndarray:
+    """(K, S) permuted statistics of ``sample`` for the K ``kernels`` under
+    the S group-X ``masks``: one :func:`masked_statistics` call over
+    :func:`kernel_matrix_stack`, each row bit for bit that kernel's own 2-d
+    call."""
+    return masked_statistics(kernel_matrix_stack(sample, kernels), sample.n, sample.m, masks)

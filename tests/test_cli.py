@@ -251,6 +251,18 @@ class TestStudyCommands:
         assert str(exc.value) == "hdtest power: jobs must be >= 1"
         assert not out_path.exists()
 
+    def test_empty_kernel_list_exits_with_one_line(self, tmp_path):
+        path = tmp_path / "none.json"
+        path.write_text(json.dumps({
+            "scenarios": [{"example": "1", "p": 10, "n": 5, "m": 5}],
+            "kernels": [], "replications": 2, "permutations": 30,
+        }))
+        out_path = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["power", "--config", str(path), "--out", str(out_path)])
+        assert str(exc.value) == "hdtest power: empty kernel list"
+        assert not out_path.exists()
+
     def test_size_alias_and_seed_override(self, tmp_path, capsys):
         out_path = tmp_path / "size.csv"
         _run(
@@ -400,6 +412,8 @@ class TestErrorBoundary:
         (["gen", "--seed", "-1", "--out", "{out}"], "seed must be >= 0"),
         (["realdata", "--file", "{tsv}", "--sizes", "4", "--jobs", "0", "--out", "{out}"],
          "jobs must be >= 1"),
+        (["realdata", "--file", "{tsv}", "--sizes", "2,x", "--out", "{out}"],
+         "--sizes: 'x' is not an integer"),
     ])
     def test_value_error_exits_with_one_line(self, files, argv, message):
         argv = [arg.format(**files) for arg in argv]

@@ -1,11 +1,18 @@
 import csv
+import functools
+import importlib
+import inspect
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdtest import harness
+import hdtest
+from hdtest import harness, permutation
 from hdtest.datagen import ScenarioConfig, generate
 from hdtest.harness import (
     PowerTable,
@@ -17,8 +24,9 @@ from hdtest.harness import (
     run_realdata_study,
 )
 from hdtest.kernels import FAMILIES, KernelSpec
-from hdtest.permutation import PermutationPlan, permutation_test
-from hdtest.statistic import LabeledSample
+from hdtest.permutation import PermutationPlan, decide, permutation_test, sample_masks
+from hdtest.statistic import LabeledSample, kernel_statistics
+from tests.strategies import awkward_data
 
 
 class TestStudyConfig:
@@ -41,6 +49,11 @@ class TestStudyConfig:
         scen = (ScenarioConfig(example="1", p=10, n=5, m=5),)
         with pytest.raises(ValueError, match="alpha"):
             StudyConfig(scenarios=scen, alpha=alpha)
+
+    def test_empty_kernel_list_refused(self):
+        scen = (ScenarioConfig(example="1", p=10, n=5, m=5),)
+        with pytest.raises(ValueError, match="empty kernel list"):
+            StudyConfig(scenarios=scen, kernels=())
 
 
 class TestKernelLabels:
@@ -126,6 +139,91 @@ class TestMultiKernelRejections:
             alone.update(multi_kernel_rejections(s, (spec,), 0.05, 300, 1))
         assert alone == {"gaussian(gamma=0.5)": True, "gaussian(gamma=50)": False}
         assert multi_kernel_rejections(s, (narrow, wide), 0.05, 300, 1) == alone
+
+
+#: the modules whose public functions a traced benchmark round counts
+TRACED = ("datagen", "statistic", "permutation", "harness", "diagnostics", "asymptotics")
+
+
+def _count_public_calls(monkeypatch) -> Counter:
+    """Count the calls of every public function of the ``TRACED`` modules,
+    rebinding it wherever one of them, or the package, binds it by name."""
+    modules = [importlib.import_module(f"hdtest.{name}") for name in TRACED]
+    names = {module.__name__ for module in modules}
+    calls, counted = Counter(), {}
+    for namespace in (hdtest, *modules):
+        for attr, obj in list(vars(namespace).items()):
+            if attr.startswith("_") or not inspect.isfunction(obj) or obj.__module__ not in names:
+                continue
+            if obj not in counted:
+                counted[obj] = _counting(obj, calls)
+            monkeypatch.setattr(namespace, attr, counted[obj])
+    return calls
+
+
+def _counting(fn, calls: Counter):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls[f"{fn.__module__.removeprefix('hdtest.')}.{fn.__name__}"] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestEarlyExit:
+    """A study draws masks only until each kernel's decision is fixed; the
+    decisions are ``decide``'s over all S masks."""
+
+    KERNELS = tuple(KernelSpec(f) for f in FAMILIES)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        data=awkward_data(max_rows=40),
+        balanced=st.booleans(),
+        cut=st.floats(0, 1),
+        alpha=st.sampled_from([0.01, 0.05, 0.1]),
+        count=st.integers(20, 2500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decisions_are_those_of_all_masks(self, data, balanced, cut, alpha, count, seed):
+        rows = len(data) // 2 * 2 if balanced else len(data)
+        n = rows // 2 if balanced else 2 + int(cut * (rows - 4))
+        sample = LabeledSample(data[:rows], n, rows - n)
+        masks = sample_masks(sample.n, sample.m, count, seed)
+        _, reject = decide(kernel_statistics(sample, self.KERNELS, masks), alpha)
+        early = multi_kernel_rejections(sample, self.KERNELS, alpha, count, seed)
+        assert list(early.values()) == reject.tolist()
+
+    def test_public_call_counts_do_not_depend_on_the_data(self, monkeypatch):
+        # a traced benchmark round fails when its rounds call a public
+        # function unequally often; here the null replication is decided by
+        # its first chunk of masks and the shifted one needs all seven
+        null = generate(ScenarioConfig("1", p=40, n=50, m=50, seed=3))
+        rng = np.random.default_rng(1)
+        data = rng.standard_normal((100, 40))
+        data[50:] += 1.0
+        shifted = LabeledSample(data, 50, 50)
+        chunks = []
+        draw = permutation._mask_chunks
+
+        def counted_chunks(*args):
+            for block in draw(*args):
+                chunks.append(len(block))
+                yield block
+
+        monkeypatch.setattr(permutation, "_mask_chunks", counted_chunks)
+        calls = _count_public_calls(monkeypatch)
+        runs = []
+        for sample, decisions in ((null, False), (shifted, True)):
+            calls.clear()
+            chunks.clear()
+            rejections = harness.multi_kernel_rejections(sample, self.KERNELS, 0.05, 1000, 4)
+            assert set(rejections.values()) == {decisions}
+            runs.append((dict(calls), len(chunks)))
+        (null_calls, null_chunks), (shifted_calls, shifted_chunks) = runs
+        assert (null_chunks, shifted_chunks) == (1, 7)
+        assert null_calls["harness.multi_kernel_rejections"] == 1
+        assert null_calls == shifted_calls
 
 
 def _tiny_study(**kw):
@@ -266,6 +364,7 @@ class TestRunRealdataStudy:
         ({"sizes": []}, "empty size grid"),
         ({"labels": ("a", "zzz")}, re.escape("classes ['a', 'b'], not ('a', 'zzz')")),
         ({"labels": ("a",)}, re.escape("classes ['a', 'b'], not ('a',)")),
+        ({"kernels": ()}, "empty kernel list"),
     ])
     def test_bad_arguments_rejected_before_any_replication(self, monkeypatch, kwargs, message):
         def no_work(*args, **kwargs):

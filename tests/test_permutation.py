@@ -9,13 +9,21 @@ from hypothesis import strategies as st
 from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.permutation import (
     PermutationPlan,
+    _mask_chunks,
+    _sequential_rejections,
     decide,
     exact_masks,
     permutation_test,
     plan_masks,
     sample_masks,
 )
-from hdtest.statistic import LabeledSample, build_kernel_matrix, masked_statistics
+from hdtest.statistic import (
+    LabeledSample,
+    _bitwise_rows,
+    build_kernel_matrix,
+    kernel_matrix_stack,
+    masked_statistics,
+)
 from tests.reference import (
     ed_statistic_permuted,
     exact_masks_loop,
@@ -124,6 +132,47 @@ class TestMasks:
         ref_masks, ref_mult = exact_masks_loop(n, m)
         np.testing.assert_array_equal(masks, ref_masks)
         assert mult == ref_mult
+
+
+class TestMaskChunks:
+    """A study's chunks of masks, each evaluated on its own, give the masks
+    and the statistics of one call over all S masks bit for bit, and the
+    decisions of ``decide`` over them. Chunks smaller than a BLAS's
+    small-matrix size would round differently; on a BLAS whose size differs
+    from OpenBLAS's these cases fail."""
+
+    @pytest.mark.parametrize("n, m, count", [
+        (50, 50, 1000), (45, 55, 1000), (20, 20, 2000), (15, 25, 2000),
+    ])
+    @pytest.mark.parametrize("shift", [0.0, 0.4])
+    def test_chunks_equal_one_call(self, n, m, count, shift):
+        rng = np.random.default_rng(n * m)
+        data = rng.standard_normal((n + m, 30))
+        data[n:] += shift
+        kernels = tuple(KernelSpec(f) for f in FAMILIES)
+        values = kernel_matrix_stack(LabeledSample(data, n, m), kernels)
+        chunks = list(_mask_chunks(n, m, count, 11, max(1, count // _bitwise_rows(n + m))))
+        assert len(chunks) > 1
+        assert min(map(len, chunks)) >= _bitwise_rows(n + m)
+        masks = sample_masks(n, m, count, 11)
+        assert np.array_equal(np.concatenate(chunks), masks)
+        stats = masked_statistics(values, n, m, masks)
+        start = 0
+        for block in chunks:
+            stop = start + len(block)
+            assert np.array_equal(masked_statistics(values, n, m, block), stats[:, start:stop])
+            # the stack left once a kernel is decided
+            assert np.array_equal(masked_statistics(values[1::2], n, m, block),
+                                  stats[1::2, start:stop])
+            start = stop
+        for alpha in (0.01, 0.05, 0.1):
+            assert np.array_equal(_sequential_rejections(values, n, m, alpha, count, 11),
+                                  decide(stats, alpha)[1])
+
+    def test_count_must_be_positive(self):
+        values = np.zeros((1, 4, 4))
+        with pytest.raises(ValueError, match="count must be positive"):
+            _sequential_rejections(values, 2, 2, 0.05, 0, 1)
 
 
 class TestRandomizationDistribution:
