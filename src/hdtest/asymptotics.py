@@ -21,7 +21,7 @@ from operator import mul
 import numpy as np
 
 from .kernels import KernelSpec, phi, phi_prime
-from .permutation import PermutationPlan, decide, plan_masks
+from .permutation import PermutationPlan, _check_alpha, decide, plan_masks
 from .statistic import masked_statistics, pair_weights
 
 
@@ -241,6 +241,7 @@ def power_limit_mc(
         raise ValueError("need at least 1000 draws")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    _check_alpha(alpha)
     masks = plan_masks(plan, gp.n, gp.m)[0]
     rejections = 0
     for stats in _limit_statistics(gp, masks, draws, seed):

@@ -1,4 +1,5 @@
-"""Seeded generators for the four simulation designs of the study harness.
+"""Seeded generators for the four simulation designs of the study harness;
+:func:`generate`, the one entry, dispatches on the design family.
 
 Example 1 is the null design (both groups share an AR-correlated law).
 Example 2 shifts the means and/or scales the standard deviations, V's
@@ -68,14 +69,15 @@ def ar_correlation(p: int, rho: float) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def spd_sqrt(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Symmetric square root via eigendecomposition.
+#: eigenvalues in (-_PSD_TOL, 0) are clamped to 0, lower ones raise
+_PSD_TOL = 1e-8
 
-    Eigenvalues in (-tol, 0) are clamped to 0; anything below -tol raises.
-    """
+
+def spd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Symmetric square root via eigendecomposition, see :data:`_PSD_TOL`."""
     mat = np.asarray(mat, dtype=float)
     vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    if vals.min() < -tol:
+    if vals.min() < -_PSD_TOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
@@ -106,10 +108,8 @@ def _innovations(rng: np.random.Generator, rows: int, p: int, kind: str) -> np.n
     return rng.exponential(1.0, size=(rows, p)) - 1.0
 
 
-def gen_example1(cfg: ScenarioConfig) -> LabeledSample:
+def _example1(cfg: ScenarioConfig) -> LabeledSample:
     """Null design: both groups are A Z with A = (V^{1/2} R V^{1/2})^{1/2}."""
-    if cfg.example != "1":
-        raise ValueError(f"config is for example {cfg.example!r}")
     rng = np.random.default_rng(cfg.seed)
     a = _base_sqrt(cfg.p, cfg.rho, _v_half_diag(cfg))
     z = _innovations(rng, cfg.n + cfg.m, cfg.p, cfg.innovation)
@@ -120,12 +120,10 @@ def gen_example1(cfg: ScenarioConfig) -> LabeledSample:
 _EXAMPLE2 = {"2i": (0.125, 1.0), "2ii": (0.0, 1.05), "2iii": (0.1, 1.04)}
 
 
-def gen_example2(cfg: ScenarioConfig) -> LabeledSample:
+def _example2(cfg: ScenarioConfig) -> LabeledSample:
     """Mean-shift and/or scale alternatives on the first floor(beta*p)
     coordinates of group Y, whose root is X's with those entries of V^{1/2}
     scaled."""
-    if cfg.example not in _EXAMPLE2:
-        raise ValueError(f"config is for example {cfg.example!r}")
     rng = np.random.default_rng(cfg.seed)
     k = int(np.floor(cfg.beta * cfg.p))
     shift, scale = _EXAMPLE2[cfg.example]
@@ -140,12 +138,10 @@ def gen_example2(cfg: ScenarioConfig) -> LabeledSample:
     return LabeledSample(data, cfg.n, cfg.m)
 
 
-def gen_example3(cfg: ScenarioConfig) -> LabeledSample:
+def _example3(cfg: ScenarioConfig) -> LabeledSample:
     """Same marginal mean/variance, different marginal laws: the first
     floor(beta*p) coordinates of Y are Rademacher (3i) or
     Uniform(-sqrt(3), sqrt(3)) (3ii), everything else standard normal."""
-    if cfg.example not in ("3i", "3ii"):
-        raise ValueError(f"config is for example {cfg.example!r}")
     rng = np.random.default_rng(cfg.seed)
     k = int(np.floor(cfg.beta * cfg.p))
     x = rng.standard_normal((cfg.n, cfg.p))
@@ -157,7 +153,7 @@ def gen_example3(cfg: ScenarioConfig) -> LabeledSample:
     return LabeledSample(np.vstack([x, y]), cfg.n, cfg.m)
 
 
-def gen_example4(cfg: ScenarioConfig) -> LabeledSample:
+def _example4(cfg: ScenarioConfig) -> LabeledSample:
     """Fair-coin designs with matching low-order margins.
 
     4i: the first floor(beta*p/2) coordinate pairs of Y are (y', y') --
@@ -166,8 +162,6 @@ def gen_example4(cfg: ScenarioConfig) -> LabeledSample:
     fair coins with a three-way dependence. Leftover coordinates after the
     block structure are i.i.d. Bernoulli(0.5).
     """
-    if cfg.example not in ("4i", "4ii"):
-        raise ValueError(f"config is for example {cfg.example!r}")
     rng = np.random.default_rng(cfg.seed)
     x = rng.integers(0, 2, size=(cfg.n, cfg.p)).astype(float)
     y = rng.integers(0, 2, size=(cfg.m, cfg.p)).astype(float)
@@ -181,10 +175,11 @@ def gen_example4(cfg: ScenarioConfig) -> LabeledSample:
     return LabeledSample(np.vstack([x, y]), cfg.n, cfg.m)
 
 
-# keyed by design family; each generator checks its own variants
-_GENERATORS = {"1": gen_example1, "2": gen_example2, "3": gen_example3, "4": gen_example4}
+# keyed by design family; ScenarioConfig has validated the variant
+_GENERATORS = {"1": _example1, "2": _example2, "3": _example3, "4": _example4}
 
 
 def generate(cfg: ScenarioConfig) -> LabeledSample:
-    """Dispatch to the generator of cfg.example's design family."""
+    """The scenario of ``cfg``, from the generator of its example's design
+    family: the one way to draw a scenario."""
     return _GENERATORS[cfg.example[0]](cfg)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .datagen import ScenarioConfig, generate
 from .kernels import FAMILIES, KernelSpec
-from .permutation import _sequential_rejections
-from .statistic import LabeledSample, kernel_matrix_stack
+from .permutation import _check_alpha, _sequential_rejections
+from .statistic import LabeledSample, _check_magnitude, kernel_matrix_stack
 
 
 def _refuse_shared_labels(labels, what: str) -> None:
@@ -45,8 +45,7 @@ def _check_study(kernels, alpha: float, replications: int, permutations: int,
     if not kernels:
         raise ValueError("empty kernel list")
     _refuse_shared_labels((s.label for s in kernels), "kernels")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if permutations < 20:
@@ -80,15 +79,11 @@ class RealDataset:
         if len(self.classes) < 2:
             raise ValueError("need at least two classes")
         lengths = {arr.shape[1] for arr in self.classes.values()}
-        if len(lengths) != 1:
-            raise ValueError("all series must share one length")
+        if len(lengths) != 1 or 0 in lengths:
+            raise ValueError("all series must share one length of at least 1")
         for label, arr in self.classes.items():
             if arr.shape[0] < 2:
                 raise ValueError(f"class {label!r} has fewer than 2 rows")
-
-    @property
-    def p(self) -> int:
-        return next(iter(self.classes.values())).shape[1]
 
 
 @dataclass
@@ -243,6 +238,8 @@ def run_realdata_study(
         if not 2 <= n <= most:
             why = "is below 2" if n < 2 else "exceeds a class size"
             raise ValueError(f"requested n={n} {why}; these classes allow n in 2..{most}")
+    for cls in (a, b):  # as every replication's sample would be
+        _check_magnitude(cls, 2 * max(sizes))
     points = [
         (f"realdata:{labels[0]}-vs-{labels[1]}:n={n}", partial(_subsample, a, b, n, same_class))
         for n in sizes

@@ -45,8 +45,8 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.family in ("gaussian", "laplacian") and not self.gamma > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.gamma}")
+        if self.family in ("gaussian", "laplacian") and not 0 < self.gamma < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.gamma}")
 
     @property
     def uses_squared_differences(self) -> bool:

@@ -30,7 +30,8 @@ from .statistic import (
     _bitwise_rows,
     _combine,
     _masked_pair_sums,
-    kernel_statistics,
+    kernel_matrix_stack,
+    masked_statistics,
     pair_weights,
 )
 
@@ -117,11 +118,15 @@ def plan_masks(plan: PermutationPlan, n: int, m: int) -> tuple[np.ndarray, int]:
     return exact_masks(n, m)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+
+
 def _tail_size(alpha: float, size: int) -> int:
     """k = floor(alpha S): a level-alpha rejection lets at most k of the S
     statistics, the observed one included, reach the observed one."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     return math.floor(alpha * size)
 
 
@@ -198,10 +203,12 @@ def permutation_test(
 ) -> TestResult:
     """Level-alpha permutation test: reject iff the observed statistic
     strictly exceeds the (1-alpha) randomization quantile."""
+    _check_alpha(alpha)
     if plan is None:
         plan = PermutationPlan()
     masks, mult = plan_masks(plan, sample.n, sample.m)
-    stats = kernel_statistics(sample, (spec,), masks)[0]
+    values = kernel_matrix_stack(sample, (spec,))[0]
+    stats = masked_statistics(values, sample.n, sample.m, masks)
     crit, reject = decide(stats, alpha)
     # the observed statistic is the identity's own entry, so it counts in
     # its own tail and the p-value can never fall below 1/S

@@ -11,10 +11,9 @@ batch of group masks, over one matrix or a stack of them; the statistic
 weighs them by :func:`pair_weights`, which the limit formulas of
 :mod:`hdtest.asymptotics` sum too, and the diagnostics combine them.
 :func:`kernel_matrix_stack` builds the (K, n+m, n+m) stack of a sample's
-kernels, and :func:`kernel_statistics` evaluates it under a batch of masks:
-the one path from a sample and its kernels to the permuted statistics, for
-the test and the studies alike (a study evaluates the stack chunk by chunk,
-see :mod:`hdtest.permutation`).
+kernels and :func:`masked_statistics` evaluates it, or one matrix of it,
+under a batch of masks: the one path from a sample to permuted statistics,
+for the test and the studies (chunk by chunk, see :mod:`hdtest.permutation`).
 """
 
 from __future__ import annotations
@@ -27,6 +26,19 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .kernels import KernelSpec, phi
+
+
+def _check_magnitude(data: np.ndarray, size: int) -> None:
+    """Refuse ``data`` unless it is finite and no value of a test, study or
+    diagnosis on ``size`` pooled rows can overflow: the largest, a diagnostics
+    square, stays below 128 p size^2 B^4 for |data| <= B (a 16th of the float max)."""
+    top = max(data.max(), -data.min())  # nan if any entry is
+    if not np.isfinite(top):
+        raise ValueError("data contains non-finite entries")
+    bound = (np.finfo(float).max / (2048 * data.shape[1] * size**2)) ** 0.25
+    if top > bound:
+        raise ValueError(f"largest |value| {top:.3g} is above {bound:.3g}, where distances "
+                         "may overflow; rescale the data")
 
 
 @dataclass(frozen=True)
@@ -48,8 +60,7 @@ class LabeledSample:
             raise ValueError(f"data has {data.shape[0]} rows, expected n+m={self.n + self.m}")
         if data.shape[1] < 1:
             raise ValueError("dimension must be at least 1")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("data contains non-finite entries")
+        _check_magnitude(data, self.n + self.m)
 
     @property
     def p(self) -> int:
@@ -69,7 +80,6 @@ class KernelMatrix:
     """Symmetric matrix of pairwise kernel values with a zeroed diagonal."""
 
     values: np.ndarray
-    spec: KernelSpec
     n: int
     m: int
 
@@ -129,15 +139,16 @@ def _sq_differences(data: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return out
 
 
-def kernel_matrix_from_psibar(pb: np.ndarray, spec: KernelSpec, n: int, m: int) -> KernelMatrix:
+def kernel_matrix_from_psibar(pb: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """``spec``'s kernel matrix of the averaged distances ``pb``, zero diagonal."""
     values = phi(spec, pb)
     np.fill_diagonal(values, 0.0)
-    return KernelMatrix(values=values, spec=spec, n=n, m=m)
+    return values
 
 
 def build_kernel_matrix(sample: LabeledSample, spec: KernelSpec) -> KernelMatrix:
     pb = psibar_matrix(sample.data, spec.uses_squared_differences)
-    return kernel_matrix_from_psibar(pb, spec, sample.n, sample.m)
+    return KernelMatrix(kernel_matrix_from_psibar(pb, spec), sample.n, sample.m)
 
 
 def pair_weights(n: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -223,21 +234,7 @@ def kernel_matrix_stack(sample: LabeledSample, kernels) -> np.ndarray:
     """The (K, n+m, n+m) stack of the K ``kernels``' matrices of ``sample``.
     Each averaged-distance matrix the kernels need (squared or cityblock) is
     built once."""
-    pb = {}
-    for spec in kernels:
-        squared = spec.uses_squared_differences
-        if squared not in pb:
-            pb[squared] = psibar_matrix(sample.data, squared)
-    return np.stack([
-        kernel_matrix_from_psibar(pb[spec.uses_squared_differences], spec,
-                                  sample.n, sample.m).values
-        for spec in kernels
-    ])
-
-
-def kernel_statistics(sample: LabeledSample, kernels, masks: np.ndarray) -> np.ndarray:
-    """(K, S) permuted statistics of ``sample`` for the K ``kernels`` under
-    the S group-X ``masks``: one :func:`masked_statistics` call over
-    :func:`kernel_matrix_stack`, each row bit for bit that kernel's own 2-d
-    call."""
-    return masked_statistics(kernel_matrix_stack(sample, kernels), sample.n, sample.m, masks)
+    kinds = dict.fromkeys(spec.uses_squared_differences for spec in kernels)
+    pb = {squared: psibar_matrix(sample.data, squared) for squared in kinds}
+    return np.stack([kernel_matrix_from_psibar(pb[spec.uses_squared_differences], spec)
+                     for spec in kernels])

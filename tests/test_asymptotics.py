@@ -347,6 +347,16 @@ class TestPowerLimitMC:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             power_limit_mc(gp, 0.05, plan, 1000, seed=-1)
 
+    @pytest.mark.parametrize("plan", [PermutationPlan(mode="exact"), PermutationPlan(count=50)])
+    def test_alpha_checked_before_any_draw(self, monkeypatch, plan):
+        def no_draw(*args):
+            raise AssertionError("a batch was drawn before alpha was checked")
+
+        monkeypatch.setattr(asymptotics, "_gaussian_pair_matrices", no_draw)
+        gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            power_limit_mc(gp, 1.5, plan, 1000)
+
     def test_minimum_draws_enforced(self):
         gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +371,69 @@ class TestRealdataCommand:
         assert "wrote 8 rows" in out  # 2 sizes x 4 kernels
 
 
+class TestDataScale:
+    """Data whose distances, kernel values, pair sums or diagnostics squares
+    could overflow is refused in one line that says to rescale, before any
+    of them is computed, so no command prints a nan statistic or a p-value
+    below 1/S. Large but safe scales and offsets run with finite output."""
+
+    @staticmethod
+    def _files(tmp_path, transform):
+        rng = np.random.default_rng(8)
+        csv_path = tmp_path / "s.csv"
+        np.savetxt(csv_path, transform(rng.standard_normal((20, 30))), delimiter=",",
+                   fmt="%.17g")
+        tsv_path = tmp_path / "d.tsv"
+        tsv_path.write_text("".join(
+            f"{label}\t" + "\t".join(f"{v:.17g}" for v in transform(rng.standard_normal(20)))
+            + "\n" for label in "ab" for _ in range(30)
+        ))
+        return str(csv_path), str(tsv_path)
+
+    @staticmethod
+    def _main(argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(argv)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e306])
+    @pytest.mark.parametrize("kernel", FAMILIES)
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    def test_overflowing_data_refused(self, tmp_path, command, kernel, scale):
+        csv_path, _ = self._files(tmp_path, lambda d: d * scale)
+        with pytest.raises(SystemExit, match="; rescale the data$") as exc:
+            self._main([command, csv_path, "--n", "10", "--kernel", kernel])
+        assert str(exc.value).startswith(f"hdtest {command}: largest |value| ")
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e306])
+    def test_overflowing_study_refused(self, tmp_path, scale):
+        _, tsv_path = self._files(tmp_path, lambda d: d * scale)
+        with pytest.raises(SystemExit, match="; rescale the data$"):
+            self._main(["realdata", "--file", tsv_path, "--sizes", "10", "--replications",
+                        "20", "--perms", "40", "--out", str(tmp_path / "out.csv")])
+
+    @pytest.mark.parametrize("transform", [lambda d: d * 1e30, lambda d: d + 1e8],
+                             ids=["scale-1e30", "offset-1e8"])
+    def test_large_scale_and_offset_accepted(self, tmp_path, capsys, transform):
+        csv_path, tsv_path = self._files(tmp_path, transform)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in FAMILIES:
+                out = _run(capsys, ["test", csv_path, "--n", "10", "--kernel", kernel])
+                stat, crit, p_value, _ = out.strip().split(",")
+                assert math.isfinite(float(stat)) and math.isfinite(float(crit))
+                assert 1 / 300 <= float(p_value) <= 1.0
+                out = _run(capsys, ["diagnose", csv_path, "--n", "10", "--kernel", kernel])
+                values = [line.split(",")[1] for line in out.splitlines()[1:]
+                          if not line.startswith("regime_hint,")]
+                assert len(values) == 10 and all(math.isfinite(float(v)) for v in values)
+            out = _run(capsys, ["realdata", "--file", tsv_path, "--sizes", "10",
+                                "--replications", "4", "--perms", "40",
+                                "--out", str(tmp_path / "out.csv")])
+        assert "wrote 4 rows" in out
+
+
 class TestErrorBoundary:
     """A ValueError from any command ends in one line naming the command."""
 
@@ -414,6 +479,8 @@ class TestErrorBoundary:
          "jobs must be >= 1"),
         (["realdata", "--file", "{tsv}", "--sizes", "2,x", "--out", "{out}"],
          "--sizes: 'x' is not an integer"),
+        (["test", "{csv}", "--n", "10", "--kernel", "gaussian", "--gamma", "inf"],
+         "bandwidth must be positive and finite"),
     ])
     def test_value_error_exits_with_one_line(self, files, argv, message):
         argv = [arg.format(**files) for arg in argv]

@@ -7,10 +7,6 @@ from hdtest import datagen
 from hdtest.datagen import (
     ScenarioConfig,
     ar_correlation,
-    gen_example1,
-    gen_example2,
-    gen_example3,
-    gen_example4,
     generate,
     spd_sqrt,
 )
@@ -101,19 +97,19 @@ class TestSpdSqrt:
 class TestExample1:
     def test_shapes_and_determinism(self):
         cfg = ScenarioConfig(example="1", p=30, n=8, m=6, seed=11)
-        a = gen_example1(cfg)
-        b = gen_example1(cfg)
+        a = generate(cfg)
+        b = generate(cfg)
         assert a.data.shape == (14, 30)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_seed_changes_draw(self):
         base = ScenarioConfig(example="1", p=10, n=5, m=5, seed=1)
         other = ScenarioConfig(example="1", p=10, n=5, m=5, seed=2)
-        assert not np.array_equal(gen_example1(base).data, gen_example1(other).data)
+        assert not np.array_equal(generate(base).data, generate(other).data)
 
     def test_population_covariance(self):
         cfg = ScenarioConfig(example="1", p=8, n=3000, m=3000, rho=0.5, seed=3)
-        s = gen_example1(cfg)
+        s = generate(cfg)
         emp = np.cov(s.data, rowvar=False)
         np.testing.assert_allclose(emp, ar_correlation(8, 0.5), atol=0.12)
 
@@ -121,15 +117,15 @@ class TestExample1:
         cfg = ScenarioConfig(
             example="1", p=5, n=4000, m=4000, innovation="exponential", seed=4
         )
-        s = gen_example1(cfg)
+        s = generate(cfg)
         assert np.all(np.abs(s.data.mean(axis=0)) < 0.1)
 
     def test_uniform_v_diag_is_scenario_keyed(self):
         cfg1 = ScenarioConfig(example="1", p=10, n=5, m=5, v_diag="uniform", seed=1)
         cfg2 = ScenarioConfig(example="1", p=10, n=5, m=5, v_diag="uniform", seed=2)
         # same v_seed, different replication seeds: same marginal scales
-        v1 = gen_example1(cfg1).data.std(axis=0)
-        v2 = gen_example1(cfg2).data.std(axis=0)
+        v1 = generate(cfg1).data.std(axis=0)
+        v2 = generate(cfg2).data.std(axis=0)
         assert np.corrcoef(v1, v2)[0, 1] > 0.5
 
 
@@ -140,19 +136,19 @@ class TestExample2:
             for variant in ("2i", "2ii", "2iii"):
                 cfg = replace(null_cfg, example=variant, beta=0.0)
                 np.testing.assert_allclose(
-                    generate(cfg).data, gen_example1(null_cfg).data, atol=1e-12
+                    generate(cfg).data, generate(null_cfg).data, atol=1e-12
                 )
 
     def test_shift_variant_mean(self):
         cfg = ScenarioConfig(example="2i", p=40, n=4000, m=4000, beta=0.5, seed=10)
-        s = gen_example2(cfg)
+        s = generate(cfg)
         gap = s.y.mean(axis=0) - s.x.mean(axis=0)
         assert np.all(np.abs(gap[:20] - 0.125) < 0.06)
         assert np.all(np.abs(gap[20:]) < 0.06)
 
     def test_scale_variant_variance(self):
         cfg = ScenarioConfig(example="2ii", p=20, n=6000, m=6000, beta=0.5, seed=11)
-        s = gen_example2(cfg)
+        s = generate(cfg)
         ratio = s.y.var(axis=0) / s.x.var(axis=0)
         # variance multiplier 1.05^2 on the first half (up to AR leakage)
         assert np.mean(ratio[:10]) > np.mean(ratio[10:])
@@ -165,14 +161,14 @@ class TestExample2:
         # standard deviations scaled
         cfg = ScenarioConfig(example=variant, p=20, n=6000, m=6000, beta=0.5,
                              v_diag=v_diag, seed=11)
-        s = gen_example2(cfg)
+        s = generate(cfg)
         ratio = s.y.var(axis=0) / s.x.var(axis=0)
         assert abs(np.mean(ratio[:10]) - scale**2) < 0.05
         assert abs(np.mean(ratio[10:]) - 1.0) < 0.05
 
     def test_combined_variant_has_shift(self):
         cfg = ScenarioConfig(example="2iii", p=20, n=5000, m=5000, beta=1.0, seed=12)
-        s = gen_example2(cfg)
+        s = generate(cfg)
         gap = s.y.mean(axis=0) - s.x.mean(axis=0)
         assert np.all(np.abs(gap - 0.1) < 0.06)
 
@@ -181,24 +177,24 @@ class TestExample3:
     def test_matched_moments(self):
         for variant in ("3i", "3ii"):
             cfg = ScenarioConfig(example=variant, p=10, n=5000, m=5000, beta=1.0, seed=13)
-            s = gen_example3(cfg)
+            s = generate(cfg)
             assert np.all(np.abs(s.y.mean(axis=0)) < 0.06), variant
             assert np.all(np.abs(s.y.var(axis=0) - 1.0) < 0.08), variant
 
     def test_rademacher_support(self):
         cfg = ScenarioConfig(example="3i", p=6, n=10, m=50, beta=0.5, seed=14)
-        s = gen_example3(cfg)
+        s = generate(cfg)
         assert set(np.unique(s.y[:, :3])) <= {-1.0, 1.0}
 
     def test_uniform_support(self):
         cfg = ScenarioConfig(example="3ii", p=6, n=10, m=200, beta=0.5, seed=15)
-        s = gen_example3(cfg)
+        s = generate(cfg)
         block = s.y[:, :3]
         assert block.min() >= -np.sqrt(3.0) and block.max() <= np.sqrt(3.0)
 
     def test_beta_zero_null(self):
         cfg = ScenarioConfig(example="3i", p=6, n=20, m=20, beta=0.0, seed=16)
-        s = gen_example3(cfg)
+        s = generate(cfg)
         # no coordinate is forced into {-1, 1}
         assert not set(np.unique(s.y[:, 0])) <= {-1.0, 1.0}
 
@@ -206,34 +202,34 @@ class TestExample3:
 class TestExample4:
     def test_duplicated_pairs(self):
         cfg = ScenarioConfig(example="4i", p=10, n=8, m=40, beta=1.0, seed=17)
-        s = gen_example4(cfg)
+        s = generate(cfg)
         for b in range(5):
             np.testing.assert_array_equal(s.y[:, 2 * b], s.y[:, 2 * b + 1])
 
     def test_marginals_are_fair_coins(self):
         cfg = ScenarioConfig(example="4i", p=6, n=10, m=20000, beta=1.0, seed=18)
-        s = gen_example4(cfg)
+        s = generate(cfg)
         freq = s.y.mean(axis=0)
         assert np.all(np.abs(freq - 0.5) < 0.02)
         assert set(np.unique(s.data)) <= {0.0, 1.0}
 
     def test_triple_indicator_structure(self):
         cfg = ScenarioConfig(example="4ii", p=9, n=8, m=30, beta=1.0, seed=19)
-        s = gen_example4(cfg)
+        s = generate(cfg)
         for b in range(3):
             d1, d2, ind = s.y[:, 3 * b], s.y[:, 3 * b + 1], s.y[:, 3 * b + 2]
             np.testing.assert_array_equal(ind, (d1 == d2).astype(float))
 
     def test_triple_pairwise_independence(self):
         cfg = ScenarioConfig(example="4ii", p=3, n=10, m=40000, beta=1.0, seed=20)
-        s = gen_example4(cfg)
+        s = generate(cfg)
         c = np.cov(s.y, rowvar=False)
         off = c[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off) < 0.01)
 
     def test_beta_zero_null(self):
         cfg = ScenarioConfig(example="4i", p=8, n=2000, m=2000, beta=0.0, seed=21)
-        s = gen_example4(cfg)
+        s = generate(cfg)
         # X and Y are the same i.i.d. Bernoulli(0.5) law
         assert np.all(np.abs(s.x.mean(axis=0) - s.y.mean(axis=0)) < 0.06)
 
@@ -244,15 +240,6 @@ class TestDispatch:
             cfg = ScenarioConfig(example=ex, p=6, n=4, m=4, beta=0.5, seed=22)
             s = generate(cfg)
             assert s.data.shape == (8, 6)
-
-    def test_wrong_generator_rejected(self):
-        cfg = ScenarioConfig(example="1", p=6, n=4, m=4)
-        with pytest.raises(ValueError):
-            gen_example3(cfg)
-        # every generator checks its own variants
-        for gen, wrong in ((gen_example1, "2i"), (gen_example2, "1"), (gen_example4, "3ii")):
-            with pytest.raises(ValueError, match=f"config is for example '{wrong}'"):
-                gen(replace(cfg, example=wrong))
 
 
 class TestSquareRootCache:

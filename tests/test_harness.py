@@ -25,7 +25,7 @@ from hdtest.harness import (
 )
 from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.permutation import PermutationPlan, decide, permutation_test, sample_masks
-from hdtest.statistic import LabeledSample, kernel_statistics
+from hdtest.statistic import LabeledSample, kernel_matrix_stack, masked_statistics
 from tests.strategies import awkward_data
 
 
@@ -82,17 +82,29 @@ class TestKernelLabels:
 
 
 class TestRealDataset:
+    @pytest.mark.parametrize("scale", [1e160, 1e306])
+    @pytest.mark.parametrize("labels", [("a", "b"), ("a", "a")])
+    def test_overflowing_classes_refused_before_any_replication(self, monkeypatch, scale,
+                                                               labels):
+        # a same-class control at 1e160 used to reject every replication
+        def no_grid(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "_run_grid", no_grid)
+        rng = np.random.default_rng(9)
+        ds = RealDataset(classes={k: rng.standard_normal((30, 20)) * scale for k in "ab"})
+        with pytest.raises(ValueError, match="; rescale the data$"):
+            run_realdata_study(ds, [5, 10], replications=20, permutations=40, labels=labels)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="two classes"):
             RealDataset(classes={"a": np.zeros((5, 3))})
         with pytest.raises(ValueError, match="length"):
             RealDataset(classes={"a": np.zeros((5, 3)), "b": np.zeros((5, 4))})
+        with pytest.raises(ValueError, match="length of at least 1"):
+            RealDataset(classes={"a": np.zeros((5, 0)), "b": np.zeros((5, 0))})
         with pytest.raises(ValueError, match="fewer than 2"):
             RealDataset(classes={"a": np.zeros((5, 3)), "b": np.zeros((1, 3))})
-
-    def test_p(self):
-        ds = RealDataset(classes={"a": np.zeros((5, 3)), "b": np.ones((4, 3))})
-        assert ds.p == 3
 
 
 class TestPowerTable:
@@ -190,7 +202,9 @@ class TestEarlyExit:
         n = rows // 2 if balanced else 2 + int(cut * (rows - 4))
         sample = LabeledSample(data[:rows], n, rows - n)
         masks = sample_masks(sample.n, sample.m, count, seed)
-        _, reject = decide(kernel_statistics(sample, self.KERNELS, masks), alpha)
+        stats = masked_statistics(kernel_matrix_stack(sample, self.KERNELS), sample.n, sample.m,
+                                  masks)
+        _, reject = decide(stats, alpha)
         early = multi_kernel_rejections(sample, self.KERNELS, alpha, count, seed)
         assert list(early.values()) == reject.tolist()
 
@@ -398,7 +412,7 @@ class TestLoadDelimited:
         f.write_text("1\t0.0\t1.0\n2\t3.0\t4.0\n2\t5.0\t6.0\n1\t9.0\t8.0\n")
         ds = load_delimited(f, "ucr-tsv")
         assert sorted(ds.classes) == ["1", "2"]
-        assert ds.p == 2
+        assert ds.classes["2"].shape == (2, 2)
         np.testing.assert_array_equal(ds.classes["1"][0], [0.0, 1.0])
 
     def test_csv_format(self, tmp_path):

@@ -22,6 +22,13 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec("laplacian", gamma=-1.0)
 
+    @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_bandwidth_rejected(self, family, gamma):
+        # an infinite bandwidth makes the kernel constant, so no test could reject
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            KernelSpec(family, gamma=gamma)
+
     def test_bandwidth_ignored_for_distance_families(self):
         # gamma is unused for l2/l1, so no validation applies
         KernelSpec("l2", gamma=-3.0)

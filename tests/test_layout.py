@@ -1,14 +1,18 @@
 """Every public function of the package is either its API or used by it,
 relabellings are drawn and judged in one place, data files are read in
-one place, and scipy is used for the l1 distances only.
+one place, and scipy is used for the l1 distances only. Every package name
+the benchmark binds resolves, and its per-layer metrics time public functions.
 
 A function that only the tests call is a reference implementation and
 belongs in ``tests/reference.py``.
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +20,7 @@ from pathlib import Path
 import hdtest
 
 SRC = Path(hdtest.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _trees():
@@ -133,3 +138,68 @@ def test_import_leaves_scipy_stats_unloaded():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert json.loads(run.stdout) == []
+
+
+def _perfbench_tree(name: str):
+    return ast.parse((PERFBENCH / name).read_text())
+
+
+def test_benchmark_bindings_resolve():
+    """Every name the benchmark's workloads import from the package, and every
+    attribute they read or assign on one of its modules, exists."""
+    tree = _perfbench_tree("workloads.py")
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "hdtest":
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(source, alias.name, None)
+                if obj is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif inspect.ismodule(obj):
+                    modules[alias.asname or alias.name] = obj
+    bound = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {("statistic", "build_kernel_matrix"), ("harness", "ProcessPoolExecutor")} <= bound
+    missing += [f"{module}.{attr}" for module, attr in sorted(bound)
+                if not hasattr(modules[module], attr)]
+    assert missing == []
+
+
+#: per-layer metrics of a function the package no longer has; they read 0
+#: until the benchmark drops them (ROADMAP item 1), and no other may join them
+KNOWN_DEAD = {
+    "permutation.critical_value",
+    "diagnostics.marginal_energy_sum",
+    "diagnostics.cov_gap",
+    "diagnostics.mean_variance_gaps",
+}
+
+#: a per-layer metric of one function: <layer>.<function>.<figure>
+FUNCTION_METRIC = re.compile(r"(\w+)\.(\w+)\.(?:ms|calls|rows|gflop|masks|self_ms)")
+
+
+def test_per_layer_metrics_time_public_functions():
+    """Each per-layer metric of one function names a public function defined
+    in its layer, which the benchmark's tracer times by that name."""
+    per_layer = next(
+        node.value for node in _perfbench_tree("run.py").body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "PER_LAYER"
+    )
+    functions = {
+        match.group(1, 2)
+        for key in per_layer.keys
+        if (match := FUNCTION_METRIC.fullmatch(ast.literal_eval(key)))
+    }
+    dead = set()
+    for layer, name in functions:
+        obj = getattr(importlib.import_module(f"hdtest.{layer}"), name, None)
+        if name.startswith("_") or not inspect.isfunction(obj) \
+                or obj.__module__ != f"hdtest.{layer}":
+            dead.add(f"{layer}.{name}")
+    assert len(functions) > len(KNOWN_DEAD)
+    assert dead <= KNOWN_DEAD

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdtest import statistic
+from hdtest.datagen import ScenarioConfig, generate
 from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.permutation import (
     PermutationPlan,
@@ -259,6 +261,16 @@ class TestPermutationTest:
     def test_negative_seed_refused(self, mode):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             PermutationPlan(mode=mode, seed=-3)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05])
+    def test_alpha_checked_before_any_work(self, monkeypatch, alpha):
+        def no_build(*args):
+            raise AssertionError("a distance matrix was built before alpha was checked")
+
+        sample = generate(ScenarioConfig("1", p=10, n=5, m=5))
+        monkeypatch.setattr(statistic, "psibar_matrix", no_build)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            permutation_test(sample, KernelSpec("l2"), alpha=alpha)
 
     def test_default_plan(self):
         rng = np.random.default_rng(14)

@@ -8,11 +8,11 @@ from hdtest.datagen import ScenarioConfig, generate
 from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.permutation import exact_masks, sample_masks
 from hdtest.statistic import (
+    KernelMatrix,
     LabeledSample,
     build_kernel_matrix,
     ed_statistic,
-    kernel_matrix_from_psibar,
-    kernel_statistics,
+    kernel_matrix_stack,
     masked_pair_sums,
     masked_statistics,
     psibar_matrix,
@@ -161,8 +161,7 @@ class TestEdStatistic:
     def test_constant_offdiagonal_gives_zero(self):
         vals = np.full((6, 6), 3.7)
         np.fill_diagonal(vals, 0.0)
-        km = kernel_matrix_from_psibar(np.ones((6, 6)), KernelSpec("l1"), 3, 3)
-        km = type(km)(values=vals, spec=km.spec, n=3, m=3)
+        km = KernelMatrix(values=vals, n=3, m=3)
         assert ed_statistic(km) == pytest.approx(0.0, abs=1e-14)
 
     def test_l1_hand_value(self):
@@ -195,8 +194,7 @@ class TestPermutedStatistic:
     def test_constant_matrix_any_perm(self):
         vals = np.full((6, 6), 2.0)
         np.fill_diagonal(vals, 0.0)
-        km = kernel_matrix_from_psibar(np.ones((6, 6)), KernelSpec("l1"), 2, 4)
-        km = type(km)(values=vals, spec=km.spec, n=2, m=4)
+        km = KernelMatrix(values=vals, n=2, m=4)
         rng = np.random.default_rng(7)
         for _ in range(10):
             perm = rng.permutation(6)
@@ -277,12 +275,13 @@ class TestKernelStatistics:
         s = generate(ScenarioConfig("3i", p=40, n=n, m=m, beta=0.3, seed=n + m))
         kernels = tuple(KernelSpec(f, 0.7) for f in FAMILIES)
         for masks in (exact_masks(n, m)[0], sample_masks(n, m, 50, n * m)):
-            stats = kernel_statistics(s, kernels, masks)
+            stats = masked_statistics(kernel_matrix_stack(s, kernels), n, m, masks)
             assert stats.shape == (len(kernels), len(masks))
             for row, spec in zip(stats, kernels):
                 want = masked_statistics(build_kernel_matrix(s, spec).values, n, m, masks)
                 assert np.array_equal(row, want)
-                assert np.array_equal(kernel_statistics(s, (spec,), masks)[0], want)
+                assert np.array_equal(
+                    masked_statistics(kernel_matrix_stack(s, (spec,))[0], n, m, masks), want)
 
     def test_builds_each_distance_matrix_once(self, monkeypatch):
         calls = []
@@ -294,7 +293,7 @@ class TestKernelStatistics:
         monkeypatch.setattr(statistic, "psibar_matrix", counting)
         s = generate(ScenarioConfig("1", p=10, n=5, m=5))
         kernels = tuple(KernelSpec(f) for f in FAMILIES)
-        kernel_statistics(s, kernels, sample_masks(5, 5, 20, 0))
+        kernel_matrix_stack(s, kernels)
         assert sorted(calls) == [False, True]
 
 
