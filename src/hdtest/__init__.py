@@ -2,7 +2,6 @@
 
 from .asymptotics import (
     GaussianProcessSpec,
-    HypergeometricLaw,
     MomentConstants,
     f_w,
     hypergeom_pmf,
@@ -35,7 +34,6 @@ __all__ = [
     "FAMILIES",
     "DiscrepancyReport",
     "GaussianProcessSpec",
-    "HypergeometricLaw",
     "KernelMatrix",
     "KernelSpec",
     "LabeledSample",

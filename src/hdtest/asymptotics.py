@@ -101,21 +101,10 @@ def sigma2_nw(n: int, m: int, w: int, c: MomentConstants, spec: KernelSpec) -> f
                for pairs, v, e in blocks)
 
 
-@dataclass(frozen=True)
-class HypergeometricLaw:
-    """Law of W = N(Gamma) for a uniformly random permutation."""
-
-    n: int
-    m: int
-
-    @property
-    def support(self) -> range:
-        return range(min(self.n, self.m) + 1)
-
-
-def hypergeom_pmf(law: HypergeometricLaw, w: int) -> Fraction:
-    """P(W = w) = C(m, w) C(n, n-w) / C(n+m, n), exact; 0 off support."""
-    n, m = law.n, law.m
+def hypergeom_pmf(n: int, m: int, w: int) -> Fraction:
+    """P(W = w) for the class index W = N(Gamma) of a uniformly random
+    permutation: C(m, w) C(n, n-w) / C(n+m, n), exact; 0 off the support
+    0..min(n, m)."""
     if not 0 <= w <= min(n, m):
         return Fraction(0)
     return Fraction(math.comb(m, w) * math.comb(n, n - w), math.comb(n + m, n))
@@ -142,10 +131,9 @@ def mixture_normal_cdf(a: float, n: int, m: int, c: MomentConstants, spec: Kerne
     Zero-variance components contribute a point mass at 0, i.e. an
     indicator of a >= 0.
     """
-    law = HypergeometricLaw(n, m)
     out = 0.0
-    for w in law.support:
-        pw = float(hypergeom_pmf(law, w))
+    for w in range(min(n, m) + 1):
+        pw = float(hypergeom_pmf(n, m, w))
         s2 = sigma2_nw(n, m, w, c, spec)
         if s2 == 0.0:
             out += pw * (1.0 if a >= 0 else 0.0)
@@ -229,8 +217,8 @@ def power_limit_mc(
     """Monte Carlo estimate of the limiting rejection probability.
 
     Each draw samples the Gaussian pair matrix, evaluates the limit process
-    over the identity and the plan's permutations, and rejects when the
-    identity value strictly exceeds the (1-alpha) randomization quantile.
+    over the identity and the plan's permutations, and rejects by the test's
+    count: when at most floor(alpha S) values reach the identity's.
     Draws are evaluated in batches, one stacked masked GEMM and one
     :func:`~hdtest.permutation.decide` call per batch, with memory bounded
     by a fixed number of entries per batch; every draw's statistics, and so

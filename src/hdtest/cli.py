@@ -101,11 +101,10 @@ def _cmd_asymptotics(args):
     spec = _from_args(KernelSpec, args)
     n, m = args.n, args.m
     c = _from_args(asymptotics.MomentConstants, args)
-    law = asymptotics.HypergeometricLaw(n, m)
     rows = [
         (w, asymptotics.f_w(n, m, w), asymptotics.mu_nw(n, m, w, c, spec),
-         asymptotics.sigma2_nw(n, m, w, c, spec), float(asymptotics.hypergeom_pmf(law, w)))
-        for w in law.support
+         asymptotics.sigma2_nw(n, m, w, c, spec), float(asymptotics.hypergeom_pmf(n, m, w)))
+        for w in range(min(n, m) + 1)
     ]
     print("w,f_w,mu_nw,sigma2_nw,pmf")
     for w, *values in rows:

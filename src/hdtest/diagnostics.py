@@ -9,10 +9,11 @@ single dataset cannot certify.
 A report runs each gap through the permutation test's own path: the masks
 of :func:`permutation.plan_masks`, :func:`statistic.masked_pair_sums` over
 the squared distances (mean and variance gaps), :func:`masked_statistics`
-over the cityblock ones (marginal energy-distance sum) and :func:`decide`.
-The double-centred blocks of the squared distances are Gram blocks of the
-centred rows and give the covariance gap. No array is p x p. :func:`diagnose`
-builds each of the two matrices once for the report and the moment constants.
+over the cityblock ones (marginal energy-distance sum) and the count of
+:func:`decide`. The double-centred blocks of the squared distances are Gram
+blocks of the centred rows and give the covariance gap. No array is p x p.
+:func:`diagnose` builds each of the two matrices once for the report and the
+moment constants.
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ def discrepancy_report(
     """All four discrepancy measures plus an advisory regime hint.
 
     The hint flags a gap by the test's own rule, :func:`decide` at alpha =
-    0.05 over ``null_reps + 1`` groupings, the observed one included, so
-    below 19 relabellings it flags nothing. It is a heuristic, not a test.
+    0.05 over ``null_reps + 1`` groupings: at most floor(0.05 (null_reps + 1))
+    of them, the observed one included, reach the observed gap, so below 19
+    relabellings it flags nothing. It is a heuristic, not a test.
     """
     if null_reps < 1:
         raise ValueError("null_reps must be >= 1")

@@ -19,6 +19,7 @@ larger discrepancy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,9 @@ class KernelSpec:
     """Immutable choice of kernel family plus bandwidth.
 
     The bandwidth ``gamma`` is only used by the Gaussian and Laplacian
-    families and defaults to 1.
+    families and defaults to 1. It must keep 2 gamma^2 a positive, finite,
+    normal float: beyond that range ``phi`` overflows or maps every distance
+    to one value.
     """
 
     family: str
@@ -45,8 +48,10 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.family in ("gaussian", "laplacian") and not 0 < self.gamma < math.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.gamma}")
+        if self.family in ("gaussian", "laplacian") and not (
+                self.gamma > 0 and sys.float_info.min <= 2.0 * self.gamma * self.gamma < math.inf):
+            raise ValueError("bandwidth must be positive and finite, with 2 gamma^2 a "
+                             f"normal float, got {self.gamma}")
 
     @property
     def uses_squared_differences(self) -> bool:

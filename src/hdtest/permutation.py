@@ -7,13 +7,13 @@ masks; Monte Carlo mode draws S-1 uniform relabellings after the identity,
 one stream whether drawn at once (:func:`sample_masks`) or in chunks.
 :func:`plan_masks` puts the identity in row 0 in both modes, so the observed
 statistic is its own entry of the distribution and the p-value is valid and
->= 1/S; :func:`decide` is the one quantile/reject rule.
+>= 1/S. :func:`decide` is the one decision rule: it rejects when at most
+floor(alpha S) statistics reach the observed one.
 
-:func:`permutation_test` evaluates all S masks, since its p-value needs
-them all. A study keeps only the decisions, and
-:func:`_sequential_rejections` gives ``decide``'s decisions over all S
-Monte Carlo masks while drawing and evaluating them chunk by chunk, only
-until each kernel's decision is fixed.
+:func:`permutation_test` evaluates all S masks: its p-value is that count
+over S, and it reports the quantile, :func:`critical_value`. A study keeps
+only the decisions, and :func:`_sequential_rejections` takes ``decide``'s
+count chunk by chunk, only until each kernel's decision is fixed.
 """
 
 from __future__ import annotations
@@ -130,21 +130,29 @@ def _tail_size(alpha: float, size: int) -> int:
     return math.floor(alpha * size)
 
 
-def decide(stats: np.ndarray, alpha: float):
-    """The (1-alpha) randomization quantile along the last axis of ``stats``
-    and whether the observed statistic, column 0, strictly exceeds it.
+def _reached(stats: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """How many ``stats`` along the last axis are >= ``observed``."""
+    return np.count_nonzero(stats >= observed, axis=-1)
 
-    With S columns the quantile is the smallest value whose cumulative count
-    reaches ceil((1-alpha) S) = S - floor(alpha S). In exact mode every
-    column stands for the same number k of permutations, and since
-    floor(floor(alpha S k) / k) = floor(alpha S) in exact arithmetic the
-    rank is the same in permutation units. Returns (critical, reject), each with the shape of
-    ``stats`` minus its last axis.
-    """
+
+def decide(stats: np.ndarray, alpha: float):
+    """(reached, reject): how many of the S statistics along the last axis
+    reach the observed one, column 0, itself included, and whether that is
+    at most k = floor(alpha S), i.e. whether S-k fall below it and it
+    strictly exceeds :func:`critical_value`, the (S-k)-th smallest. With j
+    permutations per exact-mode column, floor(floor(alpha S j) / j) =
+    floor(alpha S), so the count decides alike in permutation units."""
+    reached = _reached(stats, stats[..., :1])
+    return reached, reached <= _tail_size(alpha, stats.shape[-1])
+
+
+def critical_value(stats: np.ndarray, alpha: float):
+    """The (1-alpha) randomization quantile along the last axis of ``stats``:
+    the (S - floor(alpha S))-th smallest value. It is reported, not decided
+    on; :func:`decide` rejects exactly when column 0 strictly exceeds it."""
     size = stats.shape[-1]
     rank = size - _tail_size(alpha, size) - 1
-    crit = np.partition(stats, rank, axis=-1)[..., rank]
-    return crit, stats[..., 0] > crit
+    return np.partition(stats, rank, axis=-1)[..., rank]
 
 
 def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
@@ -153,14 +161,15 @@ def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
     seed)), alpha)[1]`` for a (K, n+m, n+m) stack ``values``, drawing and
     evaluating the masks only until every decision is fixed.
 
-    ``decide`` rejects iff at most k = floor(alpha S) statistics reach the
-    observed one, column 0. So a kernel accepts once k+1 evaluated
-    statistics reach it and rejects once S-k fall below it: Besag and
-    Clifford's (1991) sequential rule with S and the decision unchanged.
-    The masks come in near-equal chunks of at least :func:`_bitwise_rows`
-    rows, whose statistics are those of one call over all S masks bit for
-    bit, so not even a near-tie can decide differently. A decided kernel
-    leaves the stack, and no chunk is drawn once none is left.
+    This is ``decide``'s count, taken chunk by chunk: a kernel rejects iff
+    at most k = floor(alpha S) statistics reach the observed one, column 0,
+    so it accepts once k+1 evaluated statistics reach it and rejects once
+    S-k fall below it. That is Besag and Clifford's (1991) sequential rule
+    with S and the decision unchanged. The masks come in near-equal chunks
+    of at least :func:`_bitwise_rows` rows, whose statistics are those of
+    one call over all S masks bit for bit, so not even a near-tie can decide
+    differently. A decided kernel leaves the stack, and no chunk is drawn
+    once none is left.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -169,13 +178,13 @@ def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
     chunks = max(1, count // _bitwise_rows(n + m))
     live = np.arange(len(values))
     reject = np.zeros(len(values), dtype=bool)
-    reached = np.zeros(len(values), dtype=np.intp)  # statistics >= the observed one
+    reached = np.zeros(len(values), dtype=np.intp)
     seen = 0
     for masks in _mask_chunks(n, m, count, seed, chunks):
         stats = _combine(_masked_pair_sums(values, n, m, masks), weights)
         if seen == 0:
             observed = stats[:, :1]
-        reached += np.count_nonzero(stats >= observed, axis=1)
+        reached += _reached(stats, observed)
         seen += len(masks)
         done = (reached > k) | (seen - reached >= count - k)
         if done.any():
@@ -201,22 +210,20 @@ def permutation_test(
     alpha: float = 0.05,
     plan: PermutationPlan | None = None,
 ) -> TestResult:
-    """Level-alpha permutation test: reject iff the observed statistic
-    strictly exceeds the (1-alpha) randomization quantile."""
+    """Level-alpha permutation test by :func:`decide`. The observed statistic
+    reaches itself, so the p-value, the share of the S statistics that reach
+    it, is >= 1/S."""
     _check_alpha(alpha)
     if plan is None:
         plan = PermutationPlan()
     masks, mult = plan_masks(plan, sample.n, sample.m)
     values = kernel_matrix_stack(sample, (spec,))[0]
     stats = masked_statistics(values, sample.n, sample.m, masks)
-    crit, reject = decide(stats, alpha)
-    # the observed statistic is the identity's own entry, so it counts in
-    # its own tail and the p-value can never fall below 1/S
-    p_value = np.count_nonzero(stats >= stats[0]) / stats.size
+    reached, reject = decide(stats, alpha)
     return TestResult(
         statistic=float(stats[0]),
-        critical_value=float(crit),
-        p_value=p_value,
+        critical_value=float(critical_value(stats, alpha)),
+        p_value=int(reached) / stats.size,
         reject=bool(reject),
         alpha=alpha,
         plan=plan,

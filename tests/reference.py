@@ -18,7 +18,6 @@ from scipy.stats import norm
 
 from hdtest.asymptotics import (
     GaussianProcessSpec,
-    HypergeometricLaw,
     MomentConstants,
     hypergeom_pmf,
     sigma2_nw,
@@ -153,10 +152,9 @@ def mixture_normal_cdf_scipy(a_values, n: int, m: int, c: MomentConstants,
     summing the components in the same order; a zero-variance component is
     a point mass at 0."""
     a = np.asarray(a_values, dtype=float)
-    law = HypergeometricLaw(n, m)
     out = np.zeros_like(a)
-    for w in law.support:
-        pw = float(hypergeom_pmf(law, w))
+    for w in range(min(n, m) + 1):
+        pw = float(hypergeom_pmf(n, m, w))
         s2 = sigma2_nw(n, m, w, c, spec)
         out += pw * ((a >= 0).astype(float) if s2 == 0.0 else norm.cdf(a / math.sqrt(s2)))
     return out

@@ -434,6 +434,45 @@ class TestDataScale:
         assert "wrote 4 rows" in out
 
 
+class TestBandwidthRange:
+    """A bandwidth whose 2 gamma^2 overflows or is subnormal ends in one
+    line and no warning, for a test, the limit tables and a study."""
+
+    @staticmethod
+    def _exit_line(argv) -> str:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("gamma", ["1e200", "1e-160"])
+    @pytest.mark.parametrize("kernel", ["gaussian", "laplacian"])
+    def test_test_and_asymptotics_exit(self, tmp_path, kernel, gamma):
+        csv_path = tmp_path / "ok.csv"
+        np.savetxt(csv_path, np.random.default_rng(3).standard_normal((20, 30)),
+                   delimiter=",")
+        message = ("bandwidth must be positive and finite, with 2 gamma^2 a normal float, "
+                   f"got {float(gamma)}")
+        for argv in (["test", str(csv_path), "--n", "10"],
+                     ["asymptotics", "--n", "5", "--m", "5"]):
+            line = self._exit_line([*argv, "--kernel", kernel, "--gamma", gamma])
+            assert line == f"hdtest {argv[0]}: {message}"
+
+    def test_study_exits(self, tmp_path):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({
+            "scenarios": [{"example": "1", "p": 10, "n": 5, "m": 5}],
+            "kernels": ["l2", {"family": "gaussian", "gamma": 1e200}],
+            "replications": 2, "permutations": 30,
+        }))
+        line = self._exit_line(["power", "--config", str(path),
+                                "--out", str(tmp_path / "t.csv")])
+        assert line == ("hdtest power: bandwidth must be positive and finite, "
+                        "with 2 gamma^2 a normal float, got 1e+200")
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestErrorBoundary:
     """A ValueError from any command ends in one line naming the command."""
 

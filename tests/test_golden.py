@@ -1,4 +1,5 @@
-"""Golden outputs: study CSVs for fixed seeds are pinned byte for byte.
+"""Golden outputs: study CSVs and test results for fixed seeds are pinned
+byte for byte.
 
 A change that alters any RNG stream, the chunking of replications or the
 decision rule shows up here as a digest mismatch. Update a digest only
@@ -22,10 +23,14 @@ import pytest
 import hdtest
 from hdtest.datagen import ScenarioConfig
 from hdtest.harness import RealDataset, StudyConfig, run_power_study, run_realdata_study
+from hdtest.kernels import FAMILIES, KernelSpec
+from hdtest.permutation import PermutationPlan, permutation_test
+from hdtest.statistic import LabeledSample
 
 POWER_SHA256 = "717bf95bc68c8ca68889e50b35c451cd4afb29d7f4c340c90902cf74f1fd855d"
 REALDATA_SHA256 = "e5b7460ae7ac1f9dcc3117198883840258c6f31dabf7022f2734529829986bb0"
 SAME_CLASS_SHA256 = "7f47f3b7470b424e65f78aae10a9faecb53120289fae7e0154ca724b0d0176fb"
+TEST_RESULT_SHA256 = "ac780cbe655b232e42912e5820109d880dbda3da2919034e6b0abb0b6e65c0ee"
 
 
 def _csv_sha256(table) -> str:
@@ -115,3 +120,35 @@ def test_study_digests_at_two_blas_threads():
     run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                          capture_output=True, text=True, check=True)
     assert json.loads(run.stdout) == {name: digest for name, (_, digest) in STUDIES.items()}
+
+
+def _test_data(kind: str, rows: int) -> np.ndarray:
+    """Continuous, integer-valued (ties among the statistics) or partly
+    constant data, 7 columns."""
+    rng = np.random.default_rng(21)
+    if kind == "ties":
+        return rng.integers(-2, 3, size=(rows, 7)).astype(float)
+    data = rng.standard_normal((rows, 7))
+    if kind == "constant":
+        data[:, :3] = rng.integers(-2, 3, size=3)
+    return data
+
+
+def test_result_digest():
+    """What ``permutation_test`` reports, for the four kernels, Monte Carlo
+    and exact plans, n = m and n != m, and three kinds of data, two of them
+    with Y shifted so that about two thirds of the cases reject."""
+    cases = []
+    for family in FAMILIES:
+        for plan in (PermutationPlan(count=40, seed=5), PermutationPlan(mode="exact")):
+            for n, m in ((5, 5), (5, 4)):
+                for kind, shift in (("continuous", 0.0), ("ties", 1.5), ("constant", 1.0)):
+                    data = _test_data(kind, n + m)
+                    data[n:] += shift
+                    res = permutation_test(LabeledSample(data, n, m), KernelSpec(family),
+                                           0.1, plan)
+                    cases.append([float.hex(res.statistic), float.hex(res.critical_value),
+                                  float.hex(res.p_value), res.reject,
+                                  sorted(res.w_histogram.items())])
+    digest = hashlib.sha256(json.dumps(cases).encode()).hexdigest()
+    assert digest == TEST_RESULT_SHA256

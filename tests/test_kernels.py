@@ -29,6 +29,18 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
             KernelSpec(family, gamma=gamma)
 
+    @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
+    @pytest.mark.parametrize("gamma", [1e200, 1e154, 1e-155, 1e-160])
+    def test_bandwidth_outside_the_normal_range_rejected(self, family, gamma):
+        # 2 gamma^2 overflows or is subnormal, so phi overflows or flattens
+        with pytest.raises(ValueError, match=r"with 2 gamma\^2 a normal float, got"):
+            KernelSpec(family, gamma=gamma)
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
+    @pytest.mark.parametrize("gamma", [1.1e-154, 9e153])
+    def test_bandwidth_at_the_ends_of_the_normal_range_accepted(self, family, gamma):
+        assert KernelSpec(family, gamma=gamma).gamma == gamma
+
     def test_bandwidth_ignored_for_distance_families(self):
         # gamma is unused for l2/l1, so no validation applies
         KernelSpec("l2", gamma=-3.0)

@@ -84,11 +84,11 @@ def test_one_reader_for_data_files():
 
 
 #: calls that draw relabellings or take a randomization quantile
-SAMPLER_AND_RULE = {"permutation", "permuted", "shuffle", "quantile", "percentile"}
+SAMPLER_AND_RULE = {"permutation", "permuted", "shuffle", "quantile", "percentile", "partition"}
 
 
 def test_one_sampler_and_one_rule():
-    """Only ``permutation.py`` draws relabellings or takes quantiles; every
+    """Only ``permutation.py`` draws relabellings or sorts statistics; every
     other module goes through ``plan_masks`` and ``decide``."""
     found = [
         f"{module}:{node.lineno} {node.func.attr}"
@@ -173,7 +173,6 @@ def test_benchmark_bindings_resolve():
 #: per-layer metrics of a function the package no longer has; they read 0
 #: until the benchmark drops them (ROADMAP item 1), and no other may join them
 KNOWN_DEAD = {
-    "permutation.critical_value",
     "diagnostics.marginal_energy_sum",
     "diagnostics.cov_gap",
     "diagnostics.mean_variance_gaps",

@@ -13,6 +13,7 @@ from hdtest.permutation import (
     PermutationPlan,
     _mask_chunks,
     _sequential_rejections,
+    critical_value,
     decide,
     exact_masks,
     permutation_test,
@@ -223,12 +224,12 @@ class TestRandomizationDistribution:
 
 class TestCriticalValue:
     def test_point_mass_at_zero(self):
-        assert decide(np.array([0.0]), 0.05)[0] == 0.0
+        assert critical_value(np.array([0.0]), 0.05) == 0.0
 
     def test_uniform_grid(self):
         values = np.arange(1.0, 101.0)
-        assert decide(values, 0.05)[0] == 95.0
-        assert decide(values, 0.049)[0] == 96.0
+        assert critical_value(values, 0.05) == 95.0
+        assert critical_value(values, 0.049) == 96.0
 
     def test_alpha_range(self):
         values = np.array([0.0])
@@ -249,7 +250,36 @@ class TestCriticalValue:
                 ranks = [total - math.floor(alpha * total) - 1 for alpha in alphas]
                 expanded.partition(ranks)
                 for alpha, rank in zip(alphas, ranks):
-                    assert decide(stats, alpha)[0] == expanded[rank], (n, m, alpha)
+                    assert critical_value(stats, alpha) == expanded[rank], (n, m, alpha)
+
+
+@st.composite
+def tied_statistics(draw):
+    """(S,) or (K, S) integer-valued statistics, S from 1 to 300, drawn from
+    a few values so that ties are common, zeros of either sign included."""
+    size = draw(st.integers(1, 300))
+    shape = (size,) if draw(st.booleans()) else (draw(st.integers(1, 6)), size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(0, 4))
+    stats = rng.integers(-spread, spread + 1, size=shape).astype(float)
+    stats[(stats == 0) & (rng.random(shape) < 0.5)] = -0.0
+    return stats
+
+
+class TestCountRule:
+    """``decide``'s count is the quantile rule: the observed statistic
+    strictly exceeds ``critical_value`` iff at most floor(alpha S)
+    statistics reach it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_statistics(), st.floats(0.001, 0.999))
+    def test_count_is_quantile_rule(self, stats, alpha):
+        reached, reject = decide(stats, alpha)
+        rows = stats.reshape(-1, stats.shape[-1])
+        size = stats.shape[-1]
+        for row, row_reached, row_reject in zip(rows, np.ravel(reached), np.ravel(reject)):
+            assert row_reject == (row[0] > critical_value(row, alpha))
+            assert row_reached / size == np.count_nonzero(row >= row[0]) / size
 
 
 class TestPermutationTest:
