@@ -12,6 +12,7 @@ match but whose joint law differs.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,14 @@ import numpy as np
 from .statistic import LabeledSample
 
 EXAMPLES = ("1", "2i", "2ii", "2iii", "3i", "3ii", "4i", "4ii")
+
+
+def _check_integers(**fields) -> None:
+    """Refuse, naming its field, any value that is not an integer; a bool is
+    not one, nor is a float such as 5.0 that a JSON config may hold."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(p=self.p, n=self.n, m=self.m, v_seed=self.v_seed, seed=self.seed)
         if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}")
         if self.p < 1:

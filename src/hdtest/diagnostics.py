@@ -136,7 +136,8 @@ def _report(sample, sq, l1, null_reps: int, seed: int) -> DiscrepancyReport:
     stats = np.stack([
         np.maximum(cross / (n * m) - wx / n**2 - wy / m**2, 0.0),
         np.abs(wx / (n * (n - 1)) - wy / (m * (m - 1))),
-        # the l1 kernel's statistic (phi is the identity); kernel_statistics would rebuild l1
+        # the l1 kernel's statistic: phi is the identity for l1, so the cached
+        # cityblock matrix is already l1's kernel matrix
         masked_statistics(l1, n, m, masks),
     ])
     mean_signal, var_signal, marginal_signal = decide(stats, 0.05)[1]

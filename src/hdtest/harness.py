@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -27,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .datagen import ScenarioConfig, generate
+from .datagen import ScenarioConfig, _check_integers, generate
 from .kernels import FAMILIES, KernelSpec
 from .permutation import _check_alpha, _sequential_rejections
 from .statistic import LabeledSample, _check_magnitude, kernel_matrix_stack
@@ -46,6 +45,7 @@ def _check_study(kernels, alpha: float, replications: int, permutations: int,
         raise ValueError("empty kernel list")
     _refuse_shared_labels((s.label for s in kernels), "kernels")
     _check_alpha(alpha)
+    _check_integers(replications=replications, permutations=permutations, seed=seed)
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if permutations < 20:
@@ -90,7 +90,7 @@ class RealDataset:
 class PowerTable:
     rows: list = field(default_factory=list)
 
-    def add(self, scenario: str, kernel: str, rate: float, replications: int, wall: float):
+    def add(self, scenario: str, kernel: str, rate: float, replications: int):
         se = math.sqrt(rate * (1.0 - rate) / replications)
         self.rows.append(
             {
@@ -99,13 +99,10 @@ class PowerTable:
                 "rejection_rate": rate,
                 "mc_standard_error": se,
                 "replications": replications,
-                "wall_time_s": wall,
             }
         )
 
     def write_csv(self, path) -> None:
-        # wall_time_s stays in memory only so identically seeded runs
-        # produce byte-identical files regardless of worker count
         fields = [
             "scenario",
             "kernel",
@@ -114,7 +111,7 @@ class PowerTable:
             "replications",
         ]
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+            writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             for row in self.rows:
                 out = dict(row)
@@ -163,8 +160,7 @@ def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) 
     (label, sampler) pairs where ``sampler(data_seed)`` returns one dataset.
 
     All replications of all points share one pool, which takes them in
-    chunks of ``ceil(replications / jobs)``. A point's wall time runs from
-    the previous point's last result to its own.
+    chunks of ``ceil(replications / jobs)``.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -175,7 +171,6 @@ def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) 
         for rep in range(replications)
     ]
     table = PowerTable()
-    start = time.perf_counter()
     parallel = jobs > 1 and len(tasks) > 1
     with ProcessPoolExecutor(max_workers=jobs) if parallel else contextlib.nullcontext() as pool:
         results = (pool.map(_rejections, tasks, chunksize=math.ceil(replications / jobs))
@@ -184,11 +179,8 @@ def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) 
             counts = Counter()
             for _ in range(replications):
                 counts.update(next(results))
-            now = time.perf_counter()
             for spec in kernels:
-                table.add(label, spec.label, counts[spec.label] / replications,
-                          replications, now - start)
-            start = now
+                table.add(label, spec.label, counts[spec.label] / replications, replications)
     return table
 
 

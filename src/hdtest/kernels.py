@@ -19,6 +19,7 @@ larger discrepancy.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -48,10 +49,16 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.family in ("gaussian", "laplacian") and not (
-                self.gamma > 0 and sys.float_info.min <= 2.0 * self.gamma * self.gamma < math.inf):
-            raise ValueError("bandwidth must be positive and finite, with 2 gamma^2 a "
-                             f"normal float, got {self.gamma}")
+        if self.family in ("gaussian", "laplacian"):
+            if not isinstance(self.gamma, numbers.Real):
+                raise TypeError(f"bandwidth must be a number, got {self.gamma!r}")
+            try:
+                gamma = float(self.gamma)
+            except OverflowError:  # an integer beyond the float range, as from JSON
+                gamma = math.inf
+            if not (gamma > 0 and sys.float_info.min <= 2.0 * gamma * gamma < math.inf):
+                raise ValueError("bandwidth must be positive and finite, with 2 gamma^2 a "
+                                 f"normal float, got {gamma}")
 
     @property
     def uses_squared_differences(self) -> bool:

@@ -168,8 +168,9 @@ def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
     with S and the decision unchanged. The masks come in near-equal chunks
     of at least :func:`_bitwise_rows` rows, whose statistics are those of
     one call over all S masks bit for bit, so not even a near-tie can decide
-    differently. A decided kernel leaves the stack, and no chunk is drawn
-    once none is left.
+    differently. A decided kernel leaves the stack with its count final:
+    more than k if it accepts, at most seen-(S-k) <= k if it rejects. No
+    chunk is drawn once none is left.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -177,24 +178,20 @@ def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
     weights = tuple(map(float, pair_weights(n, m)))
     chunks = max(1, count // _bitwise_rows(n + m))
     live = np.arange(len(values))
-    reject = np.zeros(len(values), dtype=bool)
     reached = np.zeros(len(values), dtype=np.intp)
     seen = 0
     for masks in _mask_chunks(n, m, count, seed, chunks):
         stats = _combine(_masked_pair_sums(values, n, m, masks), weights)
         if seen == 0:
             observed = stats[:, :1]
-        reached += _reached(stats, observed)
+        reached[live] += _reached(stats, observed)
         seen += len(masks)
-        done = (reached > k) | (seen - reached >= count - k)
-        if done.any():
-            reject[live[done]] = reached[done] <= k
-            keep = ~done
+        keep = (reached[live] <= k) & (seen - reached[live] < count - k)
+        if not keep.all():
             if not keep.any():
                 break
-            live, values = live[keep], values[keep]
-            observed, reached = observed[keep], reached[keep]
-    return reject
+            live, values, observed = live[keep], values[keep], observed[keep]
+    return reached <= k
 
 
 def _w_histogram(masks: np.ndarray, n: int, multiplicity: int) -> dict:

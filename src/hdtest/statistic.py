@@ -122,8 +122,8 @@ def psibar_matrix(data: np.ndarray, squared: bool) -> np.ndarray:
         if copy.any():
             rep = np.arange(data.shape[0])  # index of each row's first copy
             np.minimum.at(rep, later[copy], earlier[copy])
+            # a pair of copies reads its first copy's diagonal entry, 0.0
             sq = sq[np.ix_(rep, rep)]
-            sq[rep[:, None] == rep[None, :]] = 0.0
     sq /= p
     return sq
 

@@ -284,8 +284,10 @@ class TestConfigBoundary:
 
     @staticmethod
     def _exit_line(argv) -> str:
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
         line = str(exc.value)
         assert line.startswith(f"hdtest {argv[0]}: ")
         assert "\n" not in line
@@ -301,6 +303,13 @@ class TestConfigBoundary:
         ({"scenarios": [{**SCENARIO, "bta": 0.5}]}, "unexpected keyword argument 'bta'"),
         ([SCENARIO], "not a mapping"),
         ("{", "Expecting property name"),
+        ({"scenarios": [SCENARIO], "replications": 2.5},
+         "replications must be an integer, got 2.5"),
+        ({"scenarios": [SCENARIO], "permutations": 40.5},
+         "permutations must be an integer, got 40.5"),
+        ({"scenarios": [SCENARIO], "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"scenarios": [SCENARIO], "seed": 2.0}, "seed must be an integer, got 2.0"),
+        ({"scenarios": [{**SCENARIO, "n": 5.0}]}, "n must be an integer, got 5.0"),
     ])
     def test_bad_study_config_names_the_file(self, tmp_path, doc, message):
         path = tmp_path / "study.json"
@@ -319,6 +328,10 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("doc, message", [
         ({**SCENARIO, "bta": 0.5}, "unexpected keyword argument 'bta'"),
         ([SCENARIO], "must be a mapping, not list"),
+        ({**SCENARIO, "p": 2.5}, "p must be an integer, got 2.5"),
+        ({**SCENARIO, "n": 5.0}, "n must be an integer, got 5.0"),
+        ({**SCENARIO, "p": True}, "p must be an integer, got True"),
+        ({**SCENARIO, "seed": 1.5}, "seed must be an integer, got 1.5"),
     ])
     def test_bad_scenario_config_names_file_and_key(self, tmp_path, doc, message):
         path = tmp_path / "scen.json"
@@ -460,17 +473,19 @@ class TestBandwidthRange:
             assert line == f"hdtest {argv[0]}: {message}"
 
     def test_study_exits(self, tmp_path):
-        path = tmp_path / "study.json"
-        path.write_text(json.dumps({
-            "scenarios": [{"example": "1", "p": 10, "n": 5, "m": 5}],
-            "kernels": ["l2", {"family": "gaussian", "gamma": 1e200}],
-            "replications": 2, "permutations": 30,
-        }))
-        line = self._exit_line(["power", "--config", str(path),
-                                "--out", str(tmp_path / "t.csv")])
-        assert line == ("hdtest power: bandwidth must be positive and finite, "
-                        "with 2 gamma^2 a normal float, got 1e+200")
-        assert not (tmp_path / "t.csv").exists()
+        # an integer too large for a float is named as the float it rounds to
+        for gamma, shown in ((1e200, "1e+200"), (10**400, "inf")):
+            path = tmp_path / "study.json"
+            path.write_text(json.dumps({
+                "scenarios": [{"example": "1", "p": 10, "n": 5, "m": 5}],
+                "kernels": ["l2", {"family": "gaussian", "gamma": gamma}],
+                "replications": 2, "permutations": 30,
+            }))
+            line = self._exit_line(["power", "--config", str(path),
+                                    "--out", str(tmp_path / "t.csv")])
+            assert line == ("hdtest power: bandwidth must be positive and finite, "
+                            f"with 2 gamma^2 a normal float, got {shown}")
+            assert not (tmp_path / "t.csv").exists()
 
 
 class TestErrorBoundary:

@@ -110,8 +110,8 @@ class TestRealDataset:
 class TestPowerTable:
     def test_csv_roundtrip(self, tmp_path):
         t = PowerTable()
-        t.add("scen", "l2", 0.25, 100, 1.234)
-        t.add("scen", "l1", 0.5, 100, 1.234)
+        t.add("scen", "l2", 0.25, 100)
+        t.add("scen", "l1", 0.5, 100)
         path = tmp_path / "t.csv"
         t.write_csv(path)
         lines = path.read_text().strip().split("\n")
@@ -123,7 +123,7 @@ class TestPowerTable:
 
     def test_standard_error(self):
         t = PowerTable()
-        t.add("s", "l2", 0.5, 100, 0.0)
+        t.add("s", "l2", 0.5, 100)
         assert t.rows[0]["mc_standard_error"] == pytest.approx(0.05)
 
 

@@ -29,6 +29,11 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
             KernelSpec(family, gamma=gamma)
 
+    def test_non_numeric_bandwidth_rejected(self):
+        # float() would take the string, and phi would then fail on it
+        with pytest.raises(TypeError, match="bandwidth must be a number, got '0.5'"):
+            KernelSpec("gaussian", gamma="0.5")
+
     @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
     @pytest.mark.parametrize("gamma", [1e200, 1e154, 1e-155, 1e-160])
     def test_bandwidth_outside_the_normal_range_rejected(self, family, gamma):
