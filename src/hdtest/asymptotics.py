@@ -22,7 +22,7 @@ import numpy as np
 
 from .kernels import KernelSpec, phi, phi_prime
 from .permutation import PermutationPlan, _check_alpha, decide, plan_masks
-from .statistic import masked_statistics, pair_weights
+from .statistic import _check_integers, masked_statistics, pair_weights
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,7 @@ class GaussianProcessSpec:
     v_y: float
 
     def __post_init__(self):
+        _check_integers(n=self.n, m=self.m)
         if self.n < 2 or self.m < 2:
             raise ValueError("need n, m >= 2")
         _check_variances(self.v_xy, self.v_x, self.v_y)
@@ -225,12 +226,13 @@ def power_limit_mc(
     the estimate, are bit for bit those of evaluating the draws one by one.
     Returns (estimate, standard error).
     """
+    _check_integers(draws=draws, seed=seed)
     if draws < 1000:
         raise ValueError("need at least 1000 draws")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     _check_alpha(alpha)
-    masks = plan_masks(plan, gp.n, gp.m)[0]
+    masks = plan_masks(plan, gp.n, gp.m)
     rejections = 0
     for stats in _limit_statistics(gp, masks, draws, seed):
         rejections += int(np.count_nonzero(decide(stats, alpha)[1]))

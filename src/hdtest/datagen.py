@@ -12,22 +12,13 @@ match but whose joint law differs.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .statistic import LabeledSample
+from .statistic import LabeledSample, _check_integers
 
 EXAMPLES = ("1", "2i", "2ii", "2iii", "3i", "3ii", "4i", "4ii")
-
-
-def _check_integers(**fields) -> None:
-    """Refuse, naming its field, any value that is not an integer; a bool is
-    not one, nor is a float such as 5.0 that a JSON config may hold."""
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

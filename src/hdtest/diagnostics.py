@@ -25,7 +25,8 @@ import numpy as np
 from .asymptotics import MomentConstants
 from .kernels import KernelSpec
 from .permutation import PermutationPlan, decide, plan_masks
-from .statistic import LabeledSample, masked_pair_sums, masked_statistics, psibar_matrix
+from .statistic import (LabeledSample, _check_integers, masked_pair_sums, masked_statistics,
+                         psibar_matrix)
 
 #: relabellings behind a report's regime hint
 _NULL_REPS = 50
@@ -122,6 +123,7 @@ def discrepancy_report(
     of them, the observed one included, reach the observed gap, so below 19
     relabellings it flags nothing. It is a heuristic, not a test.
     """
+    _check_integers(null_reps=null_reps)
     if null_reps < 1:
         raise ValueError("null_reps must be >= 1")
     sq, l1 = psibar_matrix(sample.data, True), psibar_matrix(sample.data, False)
@@ -130,7 +132,7 @@ def discrepancy_report(
 
 def _report(sample, sq, l1, null_reps: int, seed: int) -> DiscrepancyReport:
     n, m = sample.n, sample.m
-    masks, _ = plan_masks(PermutationPlan(count=null_reps + 1, seed=seed), n, m)
+    masks = plan_masks(PermutationPlan(count=null_reps + 1, seed=seed), n, m)
     # pair sums of ||x_i - x_j||^2 / p give each grouping's mean and variance gaps
     cross, wx, wy = masked_pair_sums(sq, n, m, masks)
     stats = np.stack([

@@ -26,10 +26,10 @@ from functools import partial
 
 import numpy as np
 
-from .datagen import ScenarioConfig, _check_integers, generate
+from .datagen import ScenarioConfig, generate
 from .kernels import FAMILIES, KernelSpec
 from .permutation import _check_alpha, _sequential_rejections
-from .statistic import LabeledSample, _check_magnitude, kernel_matrix_stack
+from .statistic import LabeledSample, _check_integers, _check_magnitude, kernel_matrix_stack
 
 
 def _refuse_shared_labels(labels, what: str) -> None:
@@ -88,30 +88,17 @@ class RealDataset:
 
 @dataclass
 class PowerTable:
+    #: the CSV's columns in order, each row's keys
+    COLUMNS = ("scenario", "kernel", "rejection_rate", "mc_standard_error", "replications")
     rows: list = field(default_factory=list)
 
     def add(self, scenario: str, kernel: str, rate: float, replications: int):
         se = math.sqrt(rate * (1.0 - rate) / replications)
-        self.rows.append(
-            {
-                "scenario": scenario,
-                "kernel": kernel,
-                "rejection_rate": rate,
-                "mc_standard_error": se,
-                "replications": replications,
-            }
-        )
+        self.rows.append(dict(zip(self.COLUMNS, (scenario, kernel, rate, se, replications))))
 
     def write_csv(self, path) -> None:
-        fields = [
-            "scenario",
-            "kernel",
-            "rejection_rate",
-            "mc_standard_error",
-            "replications",
-        ]
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=self.COLUMNS)
             writer.writeheader()
             for row in self.rows:
                 out = dict(row)
@@ -162,6 +149,7 @@ def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) 
     All replications of all points share one pool, which takes them in
     chunks of ``ceil(replications / jobs)``.
     """
+    _check_integers(jobs=jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     _refuse_shared_labels((label for label, _ in points), "grid points")

@@ -28,9 +28,13 @@ from .kernels import KernelSpec
 from .statistic import (
     LabeledSample,
     _bitwise_rows,
+    _check_integers,
     _combine,
-    _masked_pair_sums,
     kernel_matrix_stack,
+    # a study calls the engine once per chunk, as often as its data needs:
+    # a private name keeps those calls from a tracer of the public
+    # functions, each of which runs a fixed number of times
+    masked_pair_sums as _masked_pair_sums,
     masked_statistics,
     pair_weights,
 )
@@ -46,6 +50,7 @@ class PermutationPlan:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(count=self.count, seed=self.seed)
         if self.mode not in ("exact", "monte-carlo"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "monte-carlo" and self.count < 1:
@@ -65,13 +70,9 @@ class TestResult:
     w_histogram: dict = field(default_factory=dict)
 
 
-def exact_masks(n: int, m: int):
-    """All distinct group-X masks, in lexicographic order of their X
-    positions, with the multiplicity each represents.
-
-    Returns (masks, multiplicity): masks is a (C(n+m, n), n+m) boolean array,
-    every mask standing for n!*m! concrete permutations.
-    """
+def exact_masks(n: int, m: int) -> np.ndarray:
+    """All distinct group-X masks, a (C(n+m, n), n+m) boolean array in
+    lexicographic order of their X positions."""
     total = n + m
     rows = math.comb(total, n)
     x_positions = np.fromiter(
@@ -79,7 +80,7 @@ def exact_masks(n: int, m: int):
     ).reshape(rows, n)
     masks = np.zeros((rows, total), dtype=bool)
     np.put_along_axis(masks, x_positions, True, axis=1)
-    return masks, math.factorial(n) * math.factorial(m)
+    return masks
 
 
 def _mask_chunks(n: int, m: int, count: int, seed: int, chunks: int):
@@ -104,11 +105,10 @@ def sample_masks(n: int, m: int, count: int, seed: int) -> np.ndarray:
     return next(_mask_chunks(n, m, count, seed, 1))
 
 
-def plan_masks(plan: PermutationPlan, n: int, m: int) -> tuple[np.ndarray, int]:
-    """The group-X masks a plan evaluates, identity in row 0, and the number
-    of permutations each mask stands for."""
+def plan_masks(plan: PermutationPlan, n: int, m: int) -> np.ndarray:
+    """The group-X masks a plan evaluates, identity in row 0."""
     if plan.mode == "monte-carlo":
-        return sample_masks(n, m, plan.count, plan.seed), 1
+        return sample_masks(n, m, plan.count, plan.seed)
     size = math.comb(n + m, n)
     if size > EXACT_MASK_CAP:
         raise ValueError(
@@ -194,11 +194,12 @@ def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
     return reached <= k
 
 
-def _w_histogram(masks: np.ndarray, n: int, multiplicity: int) -> dict:
-    # w = number of first-block positions not keeping an X label
-    w_vals = n - masks[:, :n].sum(axis=1)
-    uniq, cnt = np.unique(w_vals, return_counts=True)
-    return {int(w): int(c) * multiplicity for w, c in zip(uniq, cnt)}
+def _w_histogram(masks: np.ndarray, n: int, m: int, plan: PermutationPlan) -> dict:
+    # permutations per class w, the number of first-block positions not
+    # keeping an X label: n!*m! per exact-mode mask, one per drawn mask
+    per_mask = math.factorial(n) * math.factorial(m) if plan.mode == "exact" else 1
+    uniq, cnt = np.unique(n - masks[:, :n].sum(axis=1), return_counts=True)
+    return {int(w): int(c) * per_mask for w, c in zip(uniq, cnt)}
 
 
 def permutation_test(
@@ -213,7 +214,7 @@ def permutation_test(
     _check_alpha(alpha)
     if plan is None:
         plan = PermutationPlan()
-    masks, mult = plan_masks(plan, sample.n, sample.m)
+    masks = plan_masks(plan, sample.n, sample.m)
     values = kernel_matrix_stack(sample, (spec,))[0]
     stats = masked_statistics(values, sample.n, sample.m, masks)
     reached, reject = decide(stats, alpha)
@@ -224,5 +225,5 @@ def permutation_test(
         reject=bool(reject),
         alpha=alpha,
         plan=plan,
-        w_histogram=_w_histogram(masks, sample.n, mult),
+        w_histogram=_w_histogram(masks, sample.n, sample.m, plan),
     )

@@ -19,6 +19,7 @@ for the test and the studies (chunk by chunk, see :mod:`hdtest.permutation`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,14 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .kernels import KernelSpec, phi
+
+
+def _check_integers(**fields) -> None:
+    """Refuse, naming its field, any value that is not an integer; a bool is
+    not one, nor is a float such as 5.0 that a JSON config may hold."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_magnitude(data: np.ndarray, size: int) -> None:
@@ -50,6 +59,7 @@ class LabeledSample:
     m: int
 
     def __post_init__(self):
+        _check_integers(n=self.n, m=self.m)
         data = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", data)
         if data.ndim != 2:
@@ -92,16 +102,17 @@ def psibar_matrix(data: np.ndarray, squared: bool) -> np.ndarray:
 
     Squared distances come from one Gram GEMM of the rows centred on row 0,
     z = data - data[0], g = z zᵀ, d = diag(g): the entry (i, j) is
-    max(dᵢ + dⱼ - 2gᵢⱼ, 0) / p. Centring on a data row removes common
-    offsets such as 1e8 and keeps integer-valued data integer, so its
-    distances, ties included, are exact and equal ``pdist``'s bit for bit.
-    The formula cancels where a distance is small against dᵢ + dⱼ, so pairs
-    below 1e-2 of it are summed from their coordinate differences instead:
-    every entry is then accurate relative to itself (to about 100 times the
-    rounding of one dot product), not only to the largest entry. High
-    dimensional data has no such pairs. The matrix is exactly symmetric
-    with a zero diagonal, and rows that are exactly equal are at distance
-    exactly 0.0 and share their first copy's row and column bit for bit.
+    (dᵢ + dⱼ - 2gᵢⱼ) / p. Centring on a data row removes common offsets
+    such as 1e8 and keeps integer-valued data integer, so its distances,
+    ties included, are exact and equal ``pdist``'s bit for bit. The formula
+    cancels where a distance is small against dᵢ + dⱼ, so pairs below 1e-2
+    of it (any negative one too) are summed from their coordinate
+    differences instead: every entry is then accurate relative to itself
+    (to about 100 times the rounding of one dot product), not only to the
+    largest entry. High dimensional data has no such pairs. The matrix is
+    exactly symmetric with a zero diagonal, and rows that are exactly equal
+    are at distance exactly 0.0 and share their first copy's row and column
+    bit for bit.
     """
     p = data.shape[1]
     if not squared:
@@ -113,7 +124,6 @@ def psibar_matrix(data: np.ndarray, squared: bool) -> np.ndarray:
     # twice the Gram matrix, symmetric whatever the BLAS does; the diagonal
     # is then 2dᵢ - 2gᵢᵢ = 0 exactly
     sq -= g + g.T
-    np.maximum(sq, 0.0, out=sq)
     later, earlier = np.nonzero(np.tril(sq <= np.add.outer(1e-2 * d, 1e-2 * d), -1))
     if later.size:
         near = _sq_differences(data, later, earlier)
@@ -202,12 +212,6 @@ def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
     total = values.sum(axis=(-2, -1))[..., None] / 2.0
     within_y = total - within_x - cross
     return cross, within_x, within_y
-
-
-# the same engine under a name a tracer of the public functions leaves
-# alone: a study calls it once per chunk, and the number of chunks depends
-# on the data, while every public function runs a fixed number of times
-_masked_pair_sums = masked_pair_sums
 
 #: OpenBLAS takes a GEMM of at most this many multiply-adds (M*N*K) down its
 #: small-matrix path, which rounds differently from the blocked one

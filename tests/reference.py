@@ -95,13 +95,13 @@ def sample_masks_loop(n: int, m: int, count: int, seed: int) -> np.ndarray:
 
 def exact_masks_loop(n: int, m: int):
     """Every group-X mask from the ``combinations`` of X positions, one row
-    at a time, with the n!*m! permutations each stands for."""
+    at a time."""
     total = n + m
     sets = list(combinations(range(total), n))
     masks = np.zeros((len(sets), total), dtype=bool)
     for i, s in enumerate(sets):
         masks[i, list(s)] = True
-    return masks, math.factorial(n) * math.factorial(m)
+    return masks
 
 
 def gaussian_pair_matrix(gp: GaussianProcessSpec, rng: np.random.Generator) -> np.ndarray:
@@ -132,7 +132,7 @@ def power_limit_mc_loop(
     GEMM and one ``decide`` per draw. Returns (estimate, standard error,
     the (draws, S) statistics)."""
     n, m = gp.n, gp.m
-    masks = plan_masks(plan, n, m)[0]
+    masks = plan_masks(plan, n, m)
     rng = np.random.default_rng(seed)
     stats = np.empty((draws, masks.shape[0]))
     rejections = 0

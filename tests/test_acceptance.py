@@ -144,7 +144,7 @@ def test_criterion_05_enumeration_identities():
 
 def test_criterion_06_randomization_mean_zero():
     rng = np.random.default_rng(6)
-    masks, _ = plan_masks(PermutationPlan(mode="exact"), 3, 3)
+    masks = plan_masks(PermutationPlan(mode="exact"), 3, 3)
     for _ in range(100):
         a = rng.standard_normal((6, 6))
         vals = (a + a.T) / 2.0

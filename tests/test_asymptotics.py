@@ -185,7 +185,7 @@ def test_limit_formulas_count_the_engines_pairs():
     spec = KernelSpec("l1")
     for n in range(2, 7):
         for m in range(2, 7):
-            masks = exact_masks(n, m)[0]
+            masks = exact_masks(n, m)
             w = n - masks[:, :n].sum(axis=1)
             support = range(min(n, m) + 1)
             blocks = _block_indicators(n, m)
@@ -327,6 +327,21 @@ class TestPowerLimitMC:
         rate, se = power_limit_mc(gp, 0.05, PermutationPlan(mode="exact"), 1000)
         assert rate == 0.0 and se == 0.0
 
+    @pytest.mark.parametrize("field", ["n", "m"])
+    @pytest.mark.parametrize("value", [5.0, 2.5, True])
+    def test_spec_sizes_must_be_integers(self, field, value):
+        sizes = {"n": 3, "m": 3, field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            GaussianProcessSpec(**sizes, v_xy=1.0, v_x=1.0, v_y=1.0)
+
+    @pytest.mark.parametrize("field", ["draws", "seed"])
+    @pytest.mark.parametrize("value", [5.0, 2.5, True])
+    def test_draws_and_seed_must_be_integers(self, field, value):
+        gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)
+        args = {"draws": 1000, "seed": 0, field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            power_limit_mc(gp, 0.05, PermutationPlan(mode="exact"), **args)
+
     @pytest.mark.parametrize("plan", [PermutationPlan(mode="exact"), PermutationPlan(count=50)])
     def test_negative_seed_rejected_before_any_draw(self, monkeypatch, plan):
         def no_draw(*args, **kwargs):
@@ -423,7 +438,7 @@ class TestPowerLimitMC:
 
 
 def _batched_statistics(gp, plan, draws, seed):
-    masks = plan_masks(plan, gp.n, gp.m)[0]
+    masks = plan_masks(plan, gp.n, gp.m)
     return list(asymptotics._limit_statistics(gp, masks, draws, seed))
 
 
@@ -469,7 +484,7 @@ class TestBatchedLimitMC:
         # exceeds its critical value
         n = 3
         gp = GaussianProcessSpec(n, n, 1.0, 1.0, 1.0)
-        masks = exact_masks(n, n)[0]
+        masks = exact_masks(n, n)
         rows = {m.tobytes(): i for i, m in enumerate(masks)}
         complement = [rows[(~m).tobytes()] for m in masks]
         g = asymptotics._gaussian_pair_matrices(gp, np.random.default_rng(9), 500)

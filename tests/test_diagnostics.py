@@ -194,6 +194,12 @@ class TestDiscrepancyReport:
         with pytest.raises(ValueError, match="null_reps"):
             discrepancy_report(s, null_reps=0)
 
+    @pytest.mark.parametrize("null_reps", [5.0, 2.5, True])
+    def test_null_reps_must_be_an_integer(self, null_reps):
+        s = generate(ScenarioConfig("1", p=10, n=5, m=5))
+        with pytest.raises(TypeError, match=f"^null_reps must be an integer, got {null_reps!r}$"):
+            discrepancy_report(s, null_reps=null_reps)
+
     def test_null_data_hint(self):
         rng = np.random.default_rng(36)
         s = LabeledSample(rng.standard_normal((40, 30)), 20, 20)

@@ -263,6 +263,11 @@ class TestRunPowerStudy:
         ]
         assert len(a.rows) == 2
 
+    @pytest.mark.parametrize("jobs", [5.0, 2.5, True])
+    def test_jobs_must_be_an_integer(self, jobs):
+        with pytest.raises(TypeError, match=f"^jobs must be an integer, got {jobs!r}$"):
+            run_power_study(_tiny_study(replications=1), jobs=jobs)
+
     def test_jobs_do_not_change_results(self):
         cfg = _tiny_study()
         serial = run_power_study(cfg, jobs=1)

@@ -66,6 +66,22 @@ def test_settings_come_from_arguments():
     assert found == []
 
 
+def test_one_name_per_function():
+    """No module binds a function it defines under a second name; a caller
+    that needs another name binds it in its own import, with its reason."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "hdtest" if path.stem == "__init__" else f"hdtest.{path.stem}")
+        names = {}
+        for attr, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                names.setdefault(obj, []).append(attr)
+        found += [f"{module.__name__}: {' = '.join(both)}"
+                  for both in names.values() if len(both) > 1]
+    assert found == []
+
+
 #: numpy's text readers, which ``harness.read_rows`` stands in for
 TEXT_READERS = {"loadtxt", "genfromtxt", "fromstring"}
 

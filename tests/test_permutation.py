@@ -39,9 +39,9 @@ from tests.strategies import awkward_data
 
 def _distribution(values, n, m, plan):
     """Sorted statistics over a plan's masks and the permutations each
-    stands for."""
-    masks, mult = plan_masks(plan, n, m)
-    return np.sort(masked_statistics(values, n, m, masks)), mult
+    stands for: n!*m! per exact-mode mask, one per drawn mask."""
+    mult = math.factorial(n) * math.factorial(m) if plan.mode == "exact" else 1
+    return np.sort(masked_statistics(values, n, m, plan_masks(plan, n, m))), mult
 
 
 class TestNOfGamma:
@@ -88,11 +88,18 @@ class TestCardinality:
             s_w_cardinality(2, 3, 3)
 
 
+class TestPermutationPlan:
+    @pytest.mark.parametrize("field", ["count", "seed"])
+    @pytest.mark.parametrize("value", [5.0, 2.5, True])
+    def test_count_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            PermutationPlan(**{field: value})
+
+
 class TestMasks:
     def test_exact_masks_cover_all_subsets(self):
-        masks, mult = exact_masks(3, 2)
+        masks = exact_masks(3, 2)
         assert masks.shape == (math.comb(5, 3), 5)
-        assert mult == math.factorial(3) * math.factorial(2)
         assert masks.sum(axis=1).tolist() == [3] * masks.shape[0]
         assert len({tuple(r) for r in masks.tolist()}) == masks.shape[0]
 
@@ -105,10 +112,8 @@ class TestMasks:
     def test_plan_masks_put_identity_in_row_zero(self):
         identity = np.arange(7) < 3
         for plan in (PermutationPlan(count=12, seed=4), PermutationPlan(mode="exact")):
-            masks, mult = plan_masks(plan, 3, 4)
+            masks = plan_masks(plan, 3, 4)
             np.testing.assert_array_equal(masks[0], identity)
-            exact = plan.mode == "exact"
-            assert mult == (math.factorial(3) * math.factorial(4) if exact else 1)
 
     def test_sampled_masks_deterministic(self):
         a = sample_masks(4, 4, 25, seed=9)
@@ -131,10 +136,7 @@ class TestMasks:
     @given(st.integers(1, 13).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 14 - n))))
     def test_exact_masks_match_combinations_loop(self, sizes):
         n, m = sizes
-        masks, mult = exact_masks(n, m)
-        ref_masks, ref_mult = exact_masks_loop(n, m)
-        np.testing.assert_array_equal(masks, ref_masks)
-        assert mult == ref_mult
+        np.testing.assert_array_equal(exact_masks(n, m), exact_masks_loop(n, m))
 
 
 class TestMaskChunks:
@@ -479,7 +481,7 @@ class TestPropertiesOnAwkwardData:
         spec = KernelSpec(family)
         plan = PermutationPlan(mode="exact")
         res = permutation_test(sample, spec, alpha=alpha, plan=plan)
-        masks = plan_masks(plan, sample.n, sample.m)[0]
+        masks = plan_masks(plan, sample.n, sample.m)
         stats = masked_statistics(build_kernel_matrix(sample, spec).values,
                                   sample.n, sample.m, masks)
         assert np.count_nonzero(stats > res.critical_value) <= math.floor(alpha * len(masks))

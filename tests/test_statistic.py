@@ -60,6 +60,13 @@ class TestLabeledSample:
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             LabeledSample(np.zeros((4, 0)), 2, 2)
 
+    @pytest.mark.parametrize("field", ["n", "m"])
+    @pytest.mark.parametrize("value", [5.0, 2.5, True])
+    def test_sizes_must_be_integers(self, field, value):
+        sizes = {"n": 5, "m": 5, field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            LabeledSample(np.zeros((10, 2)), **sizes)
+
 
 class TestKernelMatrix:
     def test_l1_hand_values(self):
@@ -258,7 +265,7 @@ class TestMaskedStatistics:
             ).values
             for k in range(6)
         ])
-        for masks in (exact_masks(n, m)[0], sample_masks(n, m, 40, n + m)):
+        for masks in (exact_masks(n, m), sample_masks(n, m, 40, n + m)):
             batched = masked_pair_sums(stack, n, m, masks)
             for d, values in enumerate(stack):
                 for got, want in zip(batched, masked_pair_sums(values, n, m, masks)):
@@ -274,7 +281,7 @@ class TestKernelStatistics:
         # the stacked call is bit for bit four 2-d calls, one per family
         s = generate(ScenarioConfig("3i", p=40, n=n, m=m, beta=0.3, seed=n + m))
         kernels = tuple(KernelSpec(f, 0.7) for f in FAMILIES)
-        for masks in (exact_masks(n, m)[0], sample_masks(n, m, 50, n * m)):
+        for masks in (exact_masks(n, m), sample_masks(n, m, 50, n * m)):
             stats = masked_statistics(kernel_matrix_stack(s, kernels), n, m, masks)
             assert stats.shape == (len(kernels), len(masks))
             for row, spec in zip(stats, kernels):
