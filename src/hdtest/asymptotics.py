@@ -165,35 +165,39 @@ class GaussianProcessSpec:
 _BATCH_ENTRIES = 2**17
 
 
+def _pair_layout(gp: GaussianProcessSpec):
+    """Where each standard normal of a draw goes: the flat upper and lower
+    indices of its entry and its standard deviation. The cross block comes
+    first, then the upper triangles of the X and Y blocks, with no entries
+    for a zero-variance block."""
+    n, m, size = gp.n, gp.m, gp.n + gp.m
+    iu_x, iu_y = np.triu_indices(n, 1), np.triu_indices(m, 1)
+    rows = np.concatenate([np.repeat(np.arange(n), m), iu_x[0], n + iu_y[0]])
+    cols = np.concatenate([np.tile(np.arange(n, size), n), iu_x[1], n + iu_y[1]])
+    sd = np.repeat(np.sqrt([gp.v_xy, gp.v_x, gp.v_y]), [n * m, iu_x[0].size, iu_y[0].size])
+    keep = sd > 0
+    rows, cols = rows[keep], cols[keep]
+    return rows * size + cols, cols * size + rows, sd[keep]
+
+
 def _gaussian_pair_matrices(gp: GaussianProcessSpec, rng: np.random.Generator,
-                            draws: int) -> np.ndarray:
+                            draws: int, layout=None) -> np.ndarray:
     """(draws, n+m, n+m) stack of symmetric zero-diagonal matrices of limiting
     pair contributions: cross block i.i.d. N(0, v_xy), within-X block
     N(0, v_x), within-Y block N(0, v_y).
 
-    Each draw is one row of standard normals: the cross block, then the upper
-    triangles of the X and Y blocks, each scaled by its standard deviation,
-    with no columns for a zero-variance block. ``rng.normal(scale=s)`` is
-    ``s * rng.standard_normal()`` bit for bit, so this is the stream of
-    drawing one matrix after the other, block by block.
+    Each draw is one row of standard normals placed and scaled by
+    :func:`_pair_layout` (``layout``, built here if not given).
+    ``rng.normal(scale=s)`` is ``s * rng.standard_normal()`` bit for bit, so
+    this is the stream of drawing one matrix after the other, block by block.
     """
-    n, m = gp.n, gp.m
-    iu_x, iu_y = np.triu_indices(n, 1), np.triu_indices(m, 1)
-    blocks = (  # (rows, columns, variance) of the upper-triangle entries
-        (np.repeat(np.arange(n), m), np.tile(np.arange(n, n + m), n), gp.v_xy),
-        (iu_x[0], iu_x[1], gp.v_x),
-        (n + iu_y[0], n + iu_y[1], gp.v_y),
-    )
-    blocks = [b for b in blocks if b[2] > 0]
-    z = rng.standard_normal((draws, sum(rows.size for rows, _, _ in blocks)))
-    g = np.zeros((draws, n + m, n + m))
-    start = 0
-    for rows, cols, v in blocks:
-        vals = z[:, start : start + rows.size] * math.sqrt(v)
-        g[:, rows, cols] = vals
-        g[:, cols, rows] = vals
-        start += rows.size
-    return g
+    upper, lower, sd = _pair_layout(gp) if layout is None else layout
+    size = gp.n + gp.m
+    vals = rng.standard_normal((draws, sd.size)) * sd
+    g = np.zeros((draws, size * size))
+    g[:, upper] = vals
+    g[:, lower] = vals
+    return g.reshape(draws, size, size)
 
 
 def _limit_statistics(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, seed: int):
@@ -202,9 +206,10 @@ def _limit_statistics(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, se
     draws, one stacked GEMM each."""
     n, m = gp.n, gp.m
     rng = np.random.default_rng(seed)
+    layout = _pair_layout(gp)
     size = max(1, _BATCH_ENTRIES // ((n + m) * max(masks.shape[0], n + m)))
     for start in range(0, draws, size):
-        g = _gaussian_pair_matrices(gp, rng, min(size, draws - start))
+        g = _gaussian_pair_matrices(gp, rng, min(size, draws - start), layout)
         yield masked_statistics(g, n, m, masks)
 
 

@@ -215,6 +215,7 @@ def run_realdata_study(
     if not sizes:
         raise ValueError("empty size grid")
     for n in sizes:  # all checked before any replication runs
+        _check_integers(n=n)
         if not 2 <= n <= most:
             why = "is below 2" if n < 2 else "exceeds a class size"
             raise ValueError(f"requested n={n} {why}; these classes allow n in 2..{most}")

@@ -25,19 +25,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from .kernels import KernelSpec
-from .statistic import (
-    LabeledSample,
-    _bitwise_rows,
-    _check_integers,
-    _combine,
-    kernel_matrix_stack,
-    # a study calls the engine once per chunk, as often as its data needs:
-    # a private name keeps those calls from a tracer of the public
-    # functions, each of which runs a fixed number of times
-    masked_pair_sums as _masked_pair_sums,
-    masked_statistics,
-    pair_weights,
-)
+from .statistic import (LabeledSample, _bitwise_rows, _check_integers, _coefficient,
+                        _quadratic_forms, _u_centred, kernel_matrix_stack, masked_statistics)
 
 #: exact enumeration builds at most this many group-X masks
 EXACT_MASK_CAP = 100_000
@@ -175,13 +164,14 @@ def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
     if count < 1:
         raise ValueError("count must be positive")
     k = _tail_size(alpha, count)
-    weights = tuple(map(float, pair_weights(n, m)))
+    # masked_statistics with the centring and its coefficient done once
+    values, coefficient = _u_centred(values), _coefficient(n, m)
     chunks = max(1, count // _bitwise_rows(n + m))
     live = np.arange(len(values))
     reached = np.zeros(len(values), dtype=np.intp)
     seen = 0
     for masks in _mask_chunks(n, m, count, seed, chunks):
-        stats = _combine(_masked_pair_sums(values, n, m, masks), weights)
+        stats = coefficient * _quadratic_forms(values, masks)
         if seen == 0:
             observed = stats[:, :1]
         reached[live] += _reached(stats, observed)

@@ -5,15 +5,14 @@ permutation only re-weights its entries, so the per-permutation cost is
 O((n+m)^2) regardless of the data dimension. The one O((n+m)^2 p) step,
 squared distances, is a Gram GEMM of the rows centred on row 0 (see
 :func:`psibar_matrix`: exactly symmetric, exact on integer-valued data and
-for duplicated rows); cityblock distances come from ``pdist``. One engine,
-:func:`masked_pair_sums`, gives the cross and within-group pair sums for a
-batch of group masks, over one matrix or a stack of them; the statistic
-weighs them by :func:`pair_weights`, which the limit formulas of
-:mod:`hdtest.asymptotics` sum too, and the diagnostics combine them.
+for duplicated rows); cityblock distances come from ``pdist``.
 :func:`kernel_matrix_stack` builds the (K, n+m, n+m) stack of a sample's
 kernels and :func:`masked_statistics` evaluates it, or one matrix of it,
-under a batch of masks: the one path from a sample to permuted statistics,
-for the test and the studies (chunk by chunk, see :mod:`hdtest.permutation`).
+under a batch of group-X masks as one U-centred quadratic form: the one
+path to permuted statistics for the test, the studies (chunk by chunk, see
+:mod:`hdtest.permutation`) and the limit Monte Carlo. The diagnostics
+combine the uncentred pair sums of :func:`masked_pair_sums`, and the limit
+formulas of :mod:`hdtest.asymptotics` sum :func:`pair_weights` too.
 """
 
 from __future__ import annotations
@@ -167,13 +166,6 @@ def pair_weights(n: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
     return Fraction(2, n * m), Fraction(-2, n * (n - 1)), Fraction(-2, m * (m - 1))
 
 
-def _combine(sums, weights):
-    """The statistic from its (cross, within-X, within-Y) pair sums and the
-    float pair weights, always summed in this order."""
-    (cross, within_x, within_y), (w_xy, w_x, w_y) = sums, weights
-    return w_xy * cross + w_x * within_x + w_y * within_y
-
-
 def ed_statistic(km: KernelMatrix) -> float:
     """Unbiased estimator: 2*mean(cross) - mean(within X) - mean(within Y).
 
@@ -184,7 +176,8 @@ def ed_statistic(km: KernelMatrix) -> float:
     cross = math.fsum(k[:n, n:].ravel().tolist())
     within_x = math.fsum(k[:n, :n][np.triu_indices(n, 1)].tolist())
     within_y = math.fsum(k[n:, n:][np.triu_indices(m, 1)].tolist())
-    return _combine((cross, within_x, within_y), map(float, pair_weights(n, m)))
+    w_xy, w_x, w_y = map(float, pair_weights(n, m))
+    return w_xy * cross + w_x * within_x + w_y * within_y
 
 
 def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
@@ -202,16 +195,44 @@ def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
     """
     if n == m:
         # mathematically tied values then tie exactly in floating point too
-        flip = ~masks[:, 0]
-        masks = np.where(flip[:, None], ~masks, masks)
+        masks = masks ^ ~masks[:, :1]
     g = masks.astype(float)
-    kg = g @ values  # (..., S, n+m)
-    within_x = np.einsum("...si,si->...s", kg, g) / 2.0
-    row_tot = kg.sum(axis=-1)
-    cross = row_tot - 2.0 * within_x
-    total = values.sum(axis=(-2, -1))[..., None] / 2.0
-    within_y = total - within_x - cross
+    within_x = np.einsum("...si,si->...s", g @ values, g) / 2.0
+    rows = values.sum(axis=-1)
+    cross = np.einsum("...i,si->...s", rows, g) - 2.0 * within_x
+    within_y = rows.sum(axis=-1)[..., None] / 2.0 - within_x - cross
     return cross, within_x, within_y
+
+
+def _u_centred(values: np.ndarray) -> np.ndarray:
+    """U-centred copy of a symmetric (..., N, N) stack (Székely and Rizzo
+    2014): entry (i, j) less bᵢ + bⱼ, bᵢ = (Rᵢ - T/(2(N-1)))/(N-2) for the
+    row sums R and their total T, and a zero diagonal, so every row sums to
+    zero. The outer sum keeps it exactly symmetric, and the kernel matrices
+    of constant data (off-diagonal 0 or -1) centre to exactly zero."""
+    size = values.shape[-1]
+    rows = values.sum(axis=-1)
+    b = (rows - rows.sum(axis=-1, keepdims=True) / (2 * (size - 1))) / (size - 2)
+    centred = np.add(b[..., :, None], b[..., None, :])
+    np.subtract(values, centred, out=centred)
+    np.einsum("...ii->...i", centred)[...] = 0.0
+    return centred
+
+
+def _coefficient(n: int, m: int) -> float:
+    """c(n, m) = (w_x + w_y)/2 - w_xy of the exact pair weights, rounded once."""
+    w_xy, w_x, w_y = pair_weights(n, m)
+    return float((w_x + w_y) / 2 - w_xy)
+
+
+def _quadratic_forms(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """gᵀVg, shape (..., S), from one GEMM, for each mask's representative g
+    with position 0 in group X. Over a U-centred matrix a mask and its
+    complement have equal forms, so this holds for any n, m, and for n = m
+    the two tie bit for bit."""
+    g = (masks ^ ~masks[:, :1]).astype(float)
+    return np.einsum("...si,si->...s", g @ values, g)
+
 
 #: OpenBLAS takes a GEMM of at most this many multiply-adds (M*N*K) down its
 #: small-matrix path, which rounds differently from the blocked one
@@ -229,9 +250,12 @@ def _bitwise_rows(size: int) -> int:
 
 def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> np.ndarray:
     """Permuted statistics for a batch of group-X masks, shape (..., S) for
-    ``values`` of shape (..., n+m, n+m): each is a fixed re-weighting of the
-    kernel matrix entries, see :func:`masked_pair_sums`."""
-    return _combine(masked_pair_sums(values, n, m, masks), map(float, pair_weights(n, m)))
+    ``values`` of shape (..., n+m, n+m). Each point's pair weights sum to
+    zero under every relabelling, so over the U-centred matrix Ṽ, whose rows
+    sum to zero, the statistic of mask g is c(n, m) gᵀṼg; the centring also
+    removes the entries' common level, where pair sums would cancel."""
+    # adding 0.0 turns the -0.0 of a zero form into 0.0
+    return _coefficient(n, m) * _quadratic_forms(_u_centred(values), masks) + 0.0
 
 
 def kernel_matrix_stack(sample: LabeledSample, kernels) -> np.ndarray:

@@ -29,7 +29,9 @@ from hdtest.statistic import (
     KernelMatrix,
     LabeledSample,
     ed_statistic,
+    masked_pair_sums,
     masked_statistics,
+    pair_weights,
     psibar_matrix,
 )
 
@@ -69,6 +71,25 @@ def ed_statistic_permuted(km: KernelMatrix, perm) -> float:
     mask = group_mask(perm, km.n, km.m)
     order = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
     return ed_statistic(replace(km, values=km.values[np.ix_(order, order)]))
+
+
+def _weigh(sums, weights):
+    (cross, within_x, within_y), (w_xy, w_x, w_y) = sums, weights
+    return w_xy * cross + w_x * within_x + w_y * within_y
+
+
+def pair_sum_statistics(values, n: int, m: int, masks) -> np.ndarray:
+    """Permuted statistics as the float pair weights times the (cross,
+    within-X, within-Y) sums of ``masked_pair_sums``, added in that order:
+    the uncentred formula that ``masked_statistics`` is checked against."""
+    return _weigh(masked_pair_sums(values, n, m, masks), map(float, pair_weights(n, m)))
+
+
+def weighted_abs_sums(values, n: int, m: int, masks) -> np.ndarray:
+    """Sum of the absolute weighted terms of each mask's statistic: the
+    scale its rounding error is relative to."""
+    return _weigh(masked_pair_sums(np.abs(values), n, m, masks),
+                  [abs(float(w)) for w in pair_weights(n, m)])
 
 
 def permute_rows(sample: LabeledSample, perm) -> LabeledSample:

@@ -30,7 +30,8 @@ from hdtest.statistic import LabeledSample
 POWER_SHA256 = "717bf95bc68c8ca68889e50b35c451cd4afb29d7f4c340c90902cf74f1fd855d"
 REALDATA_SHA256 = "e5b7460ae7ac1f9dcc3117198883840258c6f31dabf7022f2734529829986bb0"
 SAME_CLASS_SHA256 = "7f47f3b7470b424e65f78aae10a9faecb53120289fae7e0154ca724b0d0176fb"
-TEST_RESULT_SHA256 = "ac780cbe655b232e42912e5820109d880dbda3da2919034e6b0abb0b6e65c0ee"
+TEST_RESULT_SHA256 = "58136f5581d37c240a349f3453587b3a6ef558d798c4b4fd98334ea1112daf48"
+DECISIONS_SHA256 = "cba781a2de4bd6616fca0fff85de447b60d4d68fc07b3018ed7b06da9ab98719"
 
 
 def _csv_sha256(table) -> str:
@@ -134,21 +135,35 @@ def _test_data(kind: str, rows: int) -> np.ndarray:
     return data
 
 
-def test_result_digest():
+def _test_results():
     """What ``permutation_test`` reports, for the four kernels, Monte Carlo
     and exact plans, n = m and n != m, and three kinds of data, two of them
     with Y shifted so that about two thirds of the cases reject."""
-    cases = []
     for family in FAMILIES:
         for plan in (PermutationPlan(count=40, seed=5), PermutationPlan(mode="exact")):
             for n, m in ((5, 5), (5, 4)):
                 for kind, shift in (("continuous", 0.0), ("ties", 1.5), ("constant", 1.0)):
                     data = _test_data(kind, n + m)
                     data[n:] += shift
-                    res = permutation_test(LabeledSample(data, n, m), KernelSpec(family),
+                    yield permutation_test(LabeledSample(data, n, m), KernelSpec(family),
                                            0.1, plan)
-                    cases.append([float.hex(res.statistic), float.hex(res.critical_value),
-                                  float.hex(res.p_value), res.reject,
-                                  sorted(res.w_histogram.items())])
-    digest = hashlib.sha256(json.dumps(cases).encode()).hexdigest()
-    assert digest == TEST_RESULT_SHA256
+
+
+def _sha256(cases) -> str:
+    return hashlib.sha256(json.dumps(cases).encode()).hexdigest()
+
+
+def test_result_digest():
+    """Everything the 48 results report, statistics as float hex."""
+    cases = [[float.hex(res.statistic), float.hex(res.critical_value),
+              float.hex(res.p_value), res.reject, sorted(res.w_histogram.items())]
+             for res in _test_results()]
+    assert _sha256(cases) == TEST_RESULT_SHA256
+
+
+def test_decisions_digest():
+    """The same 48 results without the statistics: what a change to how the
+    statistic is evaluated must not move."""
+    cases = [[float.hex(res.p_value), res.reject, sorted(res.w_histogram.items())]
+             for res in _test_results()]
+    assert _sha256(cases) == DECISIONS_SHA256

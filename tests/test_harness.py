@@ -394,6 +394,15 @@ class TestRunRealdataStudy:
         with pytest.raises(ValueError, match=message):
             run_realdata_study(self._dataset(), **args)
 
+    @pytest.mark.parametrize("size", [5.0, True])
+    def test_sizes_must_be_integers(self, monkeypatch, size):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran before the sizes were checked")
+
+        monkeypatch.setattr(harness, "multi_kernel_rejections", no_work)
+        with pytest.raises(TypeError, match=f"^n must be an integer, got {size!r}$"):
+            run_realdata_study(self._dataset(), [4, size], replications=2, permutations=40)
+
     def test_repeated_size_refused_before_any_replication(self, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("a replication ran before the sizes were checked")

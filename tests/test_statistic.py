@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from hdtest import statistic
@@ -20,10 +21,15 @@ from hdtest.statistic import (
 from tests.reference import (
     ed_statistic_permuted,
     group_mask,
+    pair_sum_statistics,
     permutation_weights,
     permute_rows,
+    weighted_abs_sums,
 )
 from tests.strategies import awkward_data
+
+
+_KERNELS = tuple(KernelSpec(f) for f in FAMILIES)
 
 
 def _hand_sample():
@@ -273,6 +279,64 @@ class TestMaskedStatistics:
             stats = masked_statistics(stack, n, m, masks)
             assert stats.shape == (len(stack), len(masks))
             assert np.array_equal(stats[2], masked_statistics(stack[2], n, m, masks))
+
+
+    @pytest.mark.parametrize("n, m", [(3, 5), (4, 4), (6, 6), (7, 2)])
+    def test_centring_matches_pair_sums(self, n, m):
+        # the U-centred quadratic form against the uncentred pair-sum formula,
+        # on every exact mask, at 1e-12 of the summed absolute weighted terms
+        rng = np.random.default_rng(n * 10 + m)
+        masks = exact_masks(n, m)
+        for offset in (0.0, 1e8):
+            s = LabeledSample(rng.standard_normal((n + m, 5)) + offset, n, m)
+            stack = kernel_matrix_stack(s, _KERNELS)
+            gap = np.abs(masked_statistics(stack, n, m, masks)
+                         - pair_sum_statistics(stack, n, m, masks))
+            assert np.all(gap <= 1e-12 * weighted_abs_sums(stack, n, m, masks))
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 5), (4, 4), (7, 2), (13, 11)])
+    def test_constant_data_gives_exactly_zero(self, n, m):
+        s = LabeledSample(np.full((n + m, 3), 2.5), n, m)
+        stack = kernel_matrix_stack(s, _KERNELS)
+        masks = sample_masks(n, m, 200, n + m)
+        stats = masked_statistics(stack, n, m, masks)
+        assert np.all(stats == 0.0) and not np.signbit(stats).any()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_mask_and_complement_tie_exactly(self, n):
+        rng = np.random.default_rng(n)
+        s = LabeledSample(rng.standard_normal((2 * n, 4)) + 1e3, n, n)
+        masks = exact_masks(n, n)
+        rows = {mask.tobytes(): i for i, mask in enumerate(masks)}
+        complement = [rows[(~mask).tobytes()] for mask in masks]
+        stats = masked_statistics(kernel_matrix_stack(s, _KERNELS), n, n, masks)
+        assert np.array_equal(stats, stats[:, complement])
+
+
+@st.composite
+def _awkward_splits(draw):
+    """Awkward data split n != m, or n = m on its first even number of rows."""
+    data = draw(awkward_data())
+    if draw(st.booleans()):
+        half = len(data) // 2
+        return LabeledSample(data[: 2 * half], half, half)
+    n = draw(st.integers(2, len(data) - 2))
+    return LabeledSample(data, n, len(data) - n)
+
+
+@settings(deadline=None, max_examples=200)
+@given(sample=_awkward_splits())
+def test_identity_statistic_matches_fsum(sample):
+    """The observed statistic of each kernel of the stack is within 1e-12 of
+    the summed absolute weighted terms of the compensated-sum reference."""
+    n, m = sample.n, sample.m
+    identity = np.arange(n + m)[None, :] < n
+    stack = kernel_matrix_stack(sample, _KERNELS)
+    got = masked_statistics(stack, n, m, identity)[:, 0]
+    scale = weighted_abs_sums(stack, n, m, identity)[:, 0]
+    for stat, bound, spec in zip(got, scale, _KERNELS):
+        want = ed_statistic(build_kernel_matrix(sample, spec))
+        assert abs(stat - want) <= 1e-12 * bound, spec.family
 
 
 class TestKernelStatistics:
