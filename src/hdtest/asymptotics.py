@@ -181,17 +181,17 @@ def _pair_layout(gp: GaussianProcessSpec):
 
 
 def _gaussian_pair_matrices(gp: GaussianProcessSpec, rng: np.random.Generator,
-                            draws: int, layout=None) -> np.ndarray:
+                            draws: int, layout) -> np.ndarray:
     """(draws, n+m, n+m) stack of symmetric zero-diagonal matrices of limiting
     pair contributions: cross block i.i.d. N(0, v_xy), within-X block
     N(0, v_x), within-Y block N(0, v_y).
 
     Each draw is one row of standard normals placed and scaled by
-    :func:`_pair_layout` (``layout``, built here if not given).
+    ``layout``, the :func:`_pair_layout` of ``gp``.
     ``rng.normal(scale=s)`` is ``s * rng.standard_normal()`` bit for bit, so
     this is the stream of drawing one matrix after the other, block by block.
     """
-    upper, lower, sd = _pair_layout(gp) if layout is None else layout
+    upper, lower, sd = layout
     size = gp.n + gp.m
     vals = rng.standard_normal((draws, sd.size)) * sd
     g = np.zeros((draws, size * size))

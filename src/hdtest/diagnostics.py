@@ -14,6 +14,11 @@ over the cityblock ones (marginal energy-distance sum) and the count of
 blocks of the centred rows and give the covariance gap. No array is p x p.
 :func:`diagnose` builds each of the two matrices once for the report and the
 moment constants.
+
+The constants' variances centre each pair leaving its own points out. That
+is the package's U-centring (:func:`statistic._u_centred`) times (k-1)/(k-3)
+within a group of size k, and the double centring times nm/((n-1)(m-1))
+across the groups, both exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ import numpy as np
 from .asymptotics import MomentConstants
 from .kernels import KernelSpec
 from .permutation import PermutationPlan, decide, plan_masks
-from .statistic import (LabeledSample, _check_integers, masked_pair_sums, masked_statistics,
-                         psibar_matrix)
+from .statistic import (LabeledSample, _check_integers, _u_centred, masked_pair_sums,
+                         masked_statistics, psibar_matrix)
 
 #: relabellings behind a report's regime hint
 _NULL_REPS = 50
@@ -41,45 +46,20 @@ class DiscrepancyReport:
     regime_hint: str
 
 
+def _double_centred(block: np.ndarray) -> np.ndarray:
+    """``block`` less its row means and its column means, plus its grand mean."""
+    return block - block.mean(axis=0) - block.mean(axis=1)[:, None] + block.mean()
+
+
 def _cov_gap(sq: np.ndarray, n: int, m: int, p: int) -> float:
     """cov_gap from the averaged squared distances ``sq`` of the pooled rows.
     The double-centred blocks of ``sq`` are -2/p times those of the Gram
     matrix G of the group-centred rows, and ||Cx - Cy||^2 = ||G_xx||^2/(n-1)^2
     + ||G_yy||^2/(m-1)^2 - 2||G_xy||^2/((n-1)(m-1)); copied groups have
     bitwise equal blocks, so their gap is exactly 0."""
-    xx, yy, xy = (
-        np.sum((d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()) ** 2)
-        for d in (sq[:n, :n], sq[n:, n:], sq[:n, n:])
-    )
+    xx, yy, xy = (np.sum(_double_centred(d) ** 2) for d in (sq[:n, :n], sq[n:, n:], sq[:n, n:]))
     gap = xx / (n - 1) ** 2 + yy / (m - 1) ** 2 - 2.0 * xy / ((n - 1) * (m - 1))
     return float(max(gap, 0.0) * p / 4.0)
-
-
-def _within_centered_sq_mean(pb: np.ndarray, p: int) -> float:
-    """Mean squared U-centered pair contribution within one group, with the
-    conditional means estimated leaving the pair's own indices out."""
-    k = pb.shape[0]
-    rows = pb.sum(axis=1)  # diagonal of pb is 0
-    tot = pb.sum()
-    iu = np.triu_indices(k, 1)
-    pij = pb[iu]
-    ai = (rows[iu[0]] - pij) / (k - 2)
-    aj = (rows[iu[1]] - pij) / (k - 2)
-    grand = (tot - 2.0 * rows[iu[0]] - 2.0 * rows[iu[1]] + 2.0 * pij) / ((k - 2) * (k - 3))
-    cent = pij - ai - aj + grand
-    return float(p * np.mean(cent**2))
-
-
-def _cross_centered_sq_mean(pxy: np.ndarray, p: int) -> float:
-    n, m = pxy.shape
-    rows = pxy.sum(axis=1, keepdims=True)
-    cols = pxy.sum(axis=0, keepdims=True)
-    tot = pxy.sum()
-    ai = (rows - pxy) / (m - 1)
-    bj = (cols - pxy) / (n - 1)
-    grand = (tot - rows - cols + pxy) / ((n - 1) * (m - 1))
-    cent = pxy - ai - bj + grand
-    return float(p * np.mean(cent**2))
 
 
 def estimate_moment_constants(sample: LabeledSample, spec: KernelSpec):
@@ -87,9 +67,11 @@ def estimate_moment_constants(sample: LabeledSample, spec: KernelSpec):
     variances from one dataset.
 
     Means average the per-pair coordinate distances over distinct pairs;
-    variances are mean squares of the U-centered, sqrt(p)-scaled pair
+    variances are mean squares of the centred, sqrt(p)-scaled pair
     contributions, with the pair's own indices left out of the
-    conditional-mean plug-ins to reduce bias.
+    conditional-mean plug-ins to reduce bias: (k-1)/(k-3) times the
+    U-centred block within a group of size k, nm/((n-1)(m-1)) times the
+    double-centred block across the groups.
     """
     if sample.n < 4 or sample.m < 4:
         raise ValueError("moment-constant estimation needs n, m >= 4")
@@ -100,17 +82,13 @@ def _moment_constants(sample: LabeledSample, pb: np.ndarray) -> MomentConstants:
     """The constants from ``pb``, the averaged distances of the kernel's kind."""
     n, m, p = sample.n, sample.m, sample.p
     pxx, pyy, pxy = pb[:n, :n], pb[n:, n:], pb[:n, n:]
-    e_x = pxx.sum() / (n * (n - 1))
-    e_y = pyy.sum() / (m * (m - 1))
-    e_xy = pxy.mean()
+    # the U-centred diagonal is 0, so the sum over i != j is twice that over pairs
+    v_x, v_y = (p * ((k - 1) / (k - 3)) ** 2 * np.sum(_u_centred(block) ** 2) / (k * (k - 1))
+                for block, k in ((pxx, n), (pyy, m)))
+    v_xy = p * (n * m / ((n - 1) * (m - 1))) ** 2 * np.mean(_double_centred(pxy) ** 2)
     return MomentConstants(
-        e_x=float(e_x),
-        e_y=float(e_y),
-        e_xy=float(e_xy),
-        v_x=_within_centered_sq_mean(pxx, p),
-        v_y=_within_centered_sq_mean(pyy, p),
-        v_xy=_cross_centered_sq_mean(pxy, p),
-    )
+        e_x=float(pxx.sum() / (n * (n - 1))), e_y=float(pyy.sum() / (m * (m - 1))),
+        e_xy=float(pxy.mean()), v_x=float(v_x), v_y=float(v_y), v_xy=float(v_xy))
 
 
 def discrepancy_report(

@@ -78,12 +78,15 @@ class RealDataset:
     def __post_init__(self):
         if len(self.classes) < 2:
             raise ValueError("need at least two classes")
+        for label, arr in self.classes.items():
+            if not (isinstance(arr, np.ndarray) and arr.ndim == 2):
+                got = f"shape {arr.shape}" if isinstance(arr, np.ndarray) else type(arr).__name__
+                raise ValueError(f"class {label!r} must be a 2-d numpy array, got {got}")
+            if arr.shape[0] < 2:
+                raise ValueError(f"class {label!r} has fewer than 2 rows")
         lengths = {arr.shape[1] for arr in self.classes.values()}
         if len(lengths) != 1 or 0 in lengths:
             raise ValueError("all series must share one length of at least 1")
-        for label, arr in self.classes.items():
-            if arr.shape[0] < 2:
-                raise ValueError(f"class {label!r} has fewer than 2 rows")
 
 
 @dataclass

@@ -250,6 +250,43 @@ def analytic_vxy_quadratic(cov_x: np.ndarray, cov_y: np.ndarray) -> float:
     return float(4.0 * np.sum(cov_x * cov_y) / p)
 
 
+def leave_pair_out_variances(sample: LabeledSample, spec: KernelSpec):
+    """(v_x, v_y, v_xy) of ``estimate_moment_constants`` one pair at a time.
+    Each pair's averaged distance is centred by the mean of each of its two
+    points' rows and by the grand mean, each mean leaving the pair's own
+    points out and taken by ``math.fsum``; a constant is p times the fsum
+    mean of its pairs' squares."""
+    n, m, p = sample.n, sample.m, sample.p
+    pb = psibar_matrix(sample.data, spec.uses_squared_differences)
+
+    def mean(values):
+        values = list(values)
+        return math.fsum(values) / len(values)
+
+    def within(block):
+        k = block.shape[0]
+        squares = []
+        for i, j in combinations(range(k), 2):
+            rest = [r for r in range(k) if r not in (i, j)]
+            grand = mean(block[a, b] for a in rest for b in rest if a != b)
+            centred = block[i, j] - mean(block[i, rest]) - mean(block[j, rest]) + grand
+            squares.append(centred**2)
+        return p * mean(squares)
+
+    def cross(block):
+        squares = []
+        for i in range(n):
+            for j in range(m):
+                rows = [r for r in range(n) if r != i]
+                cols = [c for c in range(m) if c != j]
+                grand = mean(block[np.ix_(rows, cols)].ravel())
+                centred = block[i, j] - mean(block[i, cols]) - mean(block[rows, j]) + grand
+                squares.append(centred**2)
+        return p * mean(squares)
+
+    return within(pb[:n, :n]), within(pb[n:, n:]), cross(pb[:n, n:])
+
+
 def l2_moment_estimates(sample: LabeledSample, spec: KernelSpec):
     """Empirical mean squares of the centered averaged distance over
     distinct pairs: (alpha^2_x, alpha^2_y, alpha^2_xy).

@@ -487,6 +487,7 @@ class TestBatchedLimitMC:
         masks = exact_masks(n, n)
         rows = {m.tobytes(): i for i, m in enumerate(masks)}
         complement = [rows[(~m).tobytes()] for m in masks]
-        g = asymptotics._gaussian_pair_matrices(gp, np.random.default_rng(9), 500)
+        g = asymptotics._gaussian_pair_matrices(gp, np.random.default_rng(9), 500,
+                                                asymptotics._pair_layout(gp))
         stats = masked_statistics(g, n, n, masks)
         assert np.array_equal(stats, stats[:, complement])

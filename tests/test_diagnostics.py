@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdtest.datagen import EXAMPLES, ScenarioConfig, ar_correlation, generate
 from hdtest.diagnostics import diagnose, discrepancy_report, estimate_moment_constants
@@ -12,9 +14,11 @@ from tests.reference import (
     analytic_vxy_quadratic,
     cov_gap,
     l2_moment_estimates,
+    leave_pair_out_variances,
     marginal_energy_sum,
     mean_variance_gaps,
 )
+from tests.strategies import awkward_data
 
 
 def _cov_gap_reference(sample):
@@ -154,6 +158,21 @@ class TestMomentConstantEstimates:
         assert c.v_xy == pytest.approx(4.0, abs=0.5)
         assert c.v_x == pytest.approx(4.0, abs=0.6)
         assert c.v_y == pytest.approx(4.0, abs=0.6)
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=awkward_data(min_rows=8, max_rows=20), split=st.data())
+    def test_matches_leave_pair_out_loop(self, data, split):
+        """Each pair variance, both kinds, within 1e-12 of p times the mean
+        squared entry of its uncentred block (zero diagonal included)."""
+        n = split.draw(st.integers(4, len(data) - 4))
+        s = LabeledSample(data, n, len(data) - n)
+        for spec in (KernelSpec("l2"), KernelSpec("l1")):
+            pb = psibar_matrix(s.data, spec.uses_squared_differences)
+            c = estimate_moment_constants(s, spec)
+            want = leave_pair_out_variances(s, spec)
+            for got, ref, block in zip((c.v_x, c.v_y, c.v_xy), want,
+                                       (pb[:n, :n], pb[n:, n:], pb[:n, n:])):
+                assert abs(got - ref) <= 1e-12 * s.p * np.mean(block**2), spec.family
 
     def test_small_groups_rejected(self):
         s = LabeledSample(np.random.default_rng(0).standard_normal((6, 3)), 3, 3)

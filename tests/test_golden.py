@@ -5,8 +5,9 @@ A change that alters any RNG stream, the chunking of replications or the
 decision rule shows up here as a digest mismatch. Update a digest only
 when the change is deliberate, and say so in CHANGES.md.
 
-The suite runs on one BLAS thread (see ``conftest.py``); the studies are
-also run in a fresh interpreter on two, where their digests must not move.
+The suite runs on one BLAS thread (see ``conftest.py``); the studies and
+the test results are also run in a fresh interpreter on two, where their
+digests must not move.
 """
 
 import hashlib
@@ -107,9 +108,9 @@ def test_same_class_control_csv(jobs):
     assert _csv_sha256(_same_class_table(jobs)) == SAME_CLASS_SHA256
 
 
-def test_study_digests_at_two_blas_threads():
-    """BLAS reads its thread count when numpy loads, so the studies run in a
-    fresh interpreter with two threads."""
+def _at_two_blas_threads(name: str):
+    """What this module's ``name()`` returns, as JSON, in a fresh interpreter
+    with two BLAS threads: BLAS reads its thread count when numpy loads."""
     root = Path(__file__).resolve().parents[1]
     src = Path(hdtest.__file__).resolve().parents[1]
     env = {
@@ -117,10 +118,15 @@ def test_study_digests_at_two_blas_threads():
         **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "2"),
         "PYTHONPATH": os.pathsep.join([str(root), str(src), os.environ.get("PYTHONPATH", "")]),
     }
-    code = "import json; from tests.test_golden import study_digests; print(json.dumps(study_digests()))"
+    code = f"import json; from tests.test_golden import {name}; print(json.dumps({name}()))"
     run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                          capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout) == {name: digest for name, (_, digest) in STUDIES.items()}
+    return json.loads(run.stdout)
+
+
+def test_study_digests_at_two_blas_threads():
+    assert _at_two_blas_threads("study_digests") == {
+        name: digest for name, (_, digest) in STUDIES.items()}
 
 
 def _test_data(kind: str, rows: int) -> np.ndarray:
@@ -153,17 +159,27 @@ def _sha256(cases) -> str:
     return hashlib.sha256(json.dumps(cases).encode()).hexdigest()
 
 
+def result_digests() -> dict:
+    """Digests of the 48 results: ``test_result`` of everything they report,
+    statistics as float hex, and ``decisions`` of the same without the
+    statistics, which a change to how the statistic is evaluated must not
+    move."""
+    results = list(_test_results())
+    decisions = [[float.hex(res.p_value), res.reject, sorted(res.w_histogram.items())]
+                 for res in results]
+    cases = [[float.hex(res.statistic), float.hex(res.critical_value), *decided]
+             for res, decided in zip(results, decisions)]
+    return {"test_result": _sha256(cases), "decisions": _sha256(decisions)}
+
+
 def test_result_digest():
-    """Everything the 48 results report, statistics as float hex."""
-    cases = [[float.hex(res.statistic), float.hex(res.critical_value),
-              float.hex(res.p_value), res.reject, sorted(res.w_histogram.items())]
-             for res in _test_results()]
-    assert _sha256(cases) == TEST_RESULT_SHA256
+    assert result_digests()["test_result"] == TEST_RESULT_SHA256
 
 
 def test_decisions_digest():
-    """The same 48 results without the statistics: what a change to how the
-    statistic is evaluated must not move."""
-    cases = [[float.hex(res.p_value), res.reject, sorted(res.w_histogram.items())]
-             for res in _test_results()]
-    assert _sha256(cases) == DECISIONS_SHA256
+    assert result_digests()["decisions"] == DECISIONS_SHA256
+
+
+def test_result_digests_at_two_blas_threads():
+    assert _at_two_blas_threads("result_digests") == {
+        "test_result": TEST_RESULT_SHA256, "decisions": DECISIONS_SHA256}

@@ -106,6 +106,16 @@ class TestRealDataset:
         with pytest.raises(ValueError, match="fewer than 2"):
             RealDataset(classes={"a": np.zeros((5, 3)), "b": np.zeros((1, 3))})
 
+    @pytest.mark.parametrize("bad, got", [
+        (np.zeros(5), "shape (5,)"),
+        ([[0.0, 1.0], [2.0, 3.0]], "list"),
+        (np.zeros((5, 3, 2)), "shape (5, 3, 2)"),
+    ], ids=["1-d", "list", "3-d"])
+    def test_class_must_be_a_matrix(self, bad, got):
+        message = f"class 'b' must be a 2-d numpy array, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RealDataset(classes={"a": np.zeros((5, 3)), "b": bad})
+
 
 class TestPowerTable:
     def test_csv_roundtrip(self, tmp_path):
