@@ -113,8 +113,8 @@ def hypergeom_pmf(n: int, m: int, w: int) -> Fraction:
 def sigma2_hdmss(rho: float, c: MomentConstants, spec: KernelSpec) -> float:
     """Limiting variance of sqrt(nmp) times the randomized statistic when
     both sample sizes grow with n/m -> rho."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and positive")
     gxy = phi_prime(spec, c.e_xy)
     gx = phi_prime(spec, c.e_x)
     gy = phi_prime(spec, c.e_y)

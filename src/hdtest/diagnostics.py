@@ -7,13 +7,12 @@ hint is advisory: the defining conditions are asymptotic rates that a
 single dataset cannot certify.
 
 A report runs each gap through the permutation test's own path: the masks
-of :func:`permutation.plan_masks`, :func:`statistic.masked_pair_sums` over
-the squared distances (mean and variance gaps), :func:`masked_statistics`
-over the cityblock ones (marginal energy-distance sum) and the count of
-:func:`decide`. The double-centred blocks of the squared distances are Gram
-blocks of the centred rows and give the covariance gap. No array is p x p.
-:func:`diagnose` builds each of the two matrices once for the report and the
-moment constants.
+of :func:`permutation.plan_masks`, the engine's quadratic forms over the
+double-centred squared distances, -2/p times the Gram matrix of the centred
+rows (mean and variance gaps; its blocks give the covariance gap),
+:func:`masked_statistics` over the cityblock ones (marginal energy-distance
+sum) and the count of :func:`decide`. No array is p x p. :func:`diagnose`
+builds each of the two matrices once for the report and the moment constants.
 
 The constants' variances centre each pair leaving its own points out. That
 is the package's U-centring (:func:`statistic._u_centred`) times (k-1)/(k-3)
@@ -30,7 +29,7 @@ import numpy as np
 from .asymptotics import MomentConstants
 from .kernels import KernelSpec
 from .permutation import PermutationPlan, decide, plan_masks
-from .statistic import (LabeledSample, _check_integers, _u_centred, masked_pair_sums,
+from .statistic import (LabeledSample, _check_integers, _quadratic_forms, _u_centred,
                          masked_statistics, psibar_matrix)
 
 #: relabellings behind a report's regime hint
@@ -111,11 +110,16 @@ def discrepancy_report(
 def _report(sample, sq, l1, null_reps: int, seed: int) -> DiscrepancyReport:
     n, m = sample.n, sample.m
     masks = plan_masks(PermutationPlan(count=null_reps + 1, seed=seed), n, m)
-    # pair sums of ||x_i - x_j||^2 / p give each grouping's mean and variance gaps
-    cross, wx, wy = masked_pair_sums(sq, n, m, masks)
+    # D is -2/p times the Gram matrix of the pooled-centred rows, so for q = gᵀDg
+    # ||x̄ - ȳ||²/p = -(1/n + 1/m)² q/2 and (tr Σ̂x - tr Σ̂y)/p = -(ℓ - q (1/(n(n-1))
+    # - 1/(m(m-1))))/2, ℓ = Σ σᵢDᵢᵢ with σᵢ = 1/(n-1) on X and -1/(m-1) on Y; ℓ is
+    # taken row by row, so for n = m a complement's ℓ is exactly its negation
+    d = _double_centred(sq)
+    q = _quadratic_forms(d, masks)
+    ell = np.einsum("si,i->s", np.where(masks, 1.0 / (n - 1), -1.0 / (m - 1)), d.diagonal())
     stats = np.stack([
-        np.maximum(cross / (n * m) - wx / n**2 - wy / m**2, 0.0),
-        np.abs(wx / (n * (n - 1)) - wy / (m * (m - 1))),
+        np.maximum(-0.5 * (1 / n + 1 / m) ** 2 * q, 0.0),
+        0.5 * np.abs(ell - q * (1 / (n * (n - 1)) - 1 / (m * (m - 1)))),
         # the l1 kernel's statistic: phi is the identity for l1, so the cached
         # cityblock matrix is already l1's kernel matrix
         masked_statistics(l1, n, m, masks),

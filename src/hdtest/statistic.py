@@ -10,9 +10,9 @@ for duplicated rows); cityblock distances come from ``pdist``.
 kernels and :func:`masked_statistics` evaluates it, or one matrix of it,
 under a batch of group-X masks as one U-centred quadratic form: the one
 path to permuted statistics for the test, the studies (chunk by chunk, see
-:mod:`hdtest.permutation`) and the limit Monte Carlo. The diagnostics
-combine the uncentred pair sums of :func:`masked_pair_sums`, and the limit
-formulas of :mod:`hdtest.asymptotics` sum :func:`pair_weights` too.
+:mod:`hdtest.permutation`) and the limit Monte Carlo. The diagnostics' mean
+and variance gaps are its forms over the double-centred squared distances,
+and the limit formulas of :mod:`hdtest.asymptotics` sum :func:`pair_weights` too.
 """
 
 from __future__ import annotations
@@ -178,30 +178,6 @@ def ed_statistic(km: KernelMatrix) -> float:
     within_y = math.fsum(k[n:, n:][np.triu_indices(m, 1)].tolist())
     w_xy, w_x, w_y = map(float, pair_weights(n, m))
     return w_xy * cross + w_x * within_x + w_y * within_y
-
-
-def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
-    """(cross, within_x, within_y) pair sums of a symmetric zero-diagonal
-    matrix for each row of ``masks``, a (S, n+m) boolean array marking the
-    positions that carry an X label, from one GEMM.
-
-    ``values`` may also be a (..., n+m, n+m) stack of such matrices; the sums
-    then have shape (..., S), and each matrix's are bit for bit those of its
-    own call, since numpy's matmul makes one GEMM per matrix of the stack.
-
-    For n = m each mask is evaluated through its representative with
-    position 0 in group X, so the within sums may come swapped; anything
-    built from them must be symmetric under the swap.
-    """
-    if n == m:
-        # mathematically tied values then tie exactly in floating point too
-        masks = masks ^ ~masks[:, :1]
-    g = masks.astype(float)
-    within_x = np.einsum("...si,si->...s", g @ values, g) / 2.0
-    rows = values.sum(axis=-1)
-    cross = np.einsum("...i,si->...s", rows, g) - 2.0 * within_x
-    within_y = rows.sum(axis=-1)[..., None] / 2.0 - within_x - cross
-    return cross, within_x, within_y
 
 
 def _u_centred(values: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """One BLAS thread for every test, as the benchmark runs.
 
-The bitwise digests in the tests hold at one thread count only: a GEMM
-may round differently when its work is split between threads. These
-variables are read when numpy loads, so they are set before any test
-module imports it.
+A GEMM may round differently when its work is split between threads.
+The study and test-result digests (``tests/test_golden.py``) are also
+checked at two BLAS threads, each in a fresh interpreter; ``DIAGNOSE_SHA256``
+and ``REPORT_VALUES_SHA256`` are pinned at one thread only. These variables
+are read when numpy loads, so they are set before any test module imports
+it.
 """
 
 import os

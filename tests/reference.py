@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -29,7 +30,6 @@ from hdtest.statistic import (
     KernelMatrix,
     LabeledSample,
     ed_statistic,
-    masked_pair_sums,
     masked_statistics,
     pair_weights,
     psibar_matrix,
@@ -71,6 +71,30 @@ def ed_statistic_permuted(km: KernelMatrix, perm) -> float:
     mask = group_mask(perm, km.n, km.m)
     order = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
     return ed_statistic(replace(km, values=km.values[np.ix_(order, order)]))
+
+
+def masked_pair_sums(values: np.ndarray, n: int, m: int, masks: np.ndarray):
+    """(cross, within_x, within_y) pair sums of a symmetric zero-diagonal
+    matrix for each row of ``masks``, a (S, n+m) boolean array marking the
+    positions that carry an X label, from one GEMM: the uncentred sums that
+    the package's U-centred quadratic forms are checked against.
+
+    ``values`` may also be a (..., n+m, n+m) stack of such matrices; the sums
+    then have shape (..., S).
+
+    For n = m each mask is evaluated through its representative with
+    position 0 in group X, so the within sums may come swapped; anything
+    built from them must be symmetric under the swap.
+    """
+    if n == m:
+        # mathematically tied values then tie exactly in floating point too
+        masks = masks ^ ~masks[:, :1]
+    g = masks.astype(float)
+    within_x = np.einsum("...si,si->...s", g @ values, g) / 2.0
+    rows = values.sum(axis=-1)
+    cross = np.einsum("...i,si->...s", rows, g) - 2.0 * within_x
+    within_y = rows.sum(axis=-1)[..., None] / 2.0 - within_x - cross
+    return cross, within_x, within_y
 
 
 def _weigh(sums, weights):
@@ -221,6 +245,25 @@ def mean_variance_gaps(sample: LabeledSample) -> tuple[float, float]:
     mg = float(np.mean((x.mean(axis=0) - y.mean(axis=0)) ** 2))
     vg = float(abs(np.mean(x.var(axis=0, ddof=1) - y.var(axis=0, ddof=1))))
     return mg, vg
+
+
+def exact_mean_variance_gaps(sample: LabeledSample) -> tuple[Fraction, Fraction]:
+    """:func:`mean_variance_gaps` in exact rationals: per-column means and
+    ``ddof=1`` variances. Every entry is an integer times 2**e, e the place
+    of the lowest mantissa bit of any entry, so the column sums are exact
+    Python integers."""
+    n, m, p = sample.n, sample.m, sample.p
+    e = int(np.frexp(sample.data)[1].min()) - 53
+    ints = np.array([int(v) for v in np.ldexp(sample.data, -e).ravel()],
+                    dtype=object).reshape(sample.data.shape)
+    sx, sy = ints[:n].sum(axis=0), ints[n:].sum(axis=0)
+    # n(n-1) var_x = n Σx² - (Σx)² per column
+    vx = (n * (ints[:n] ** 2).sum(axis=0) - sx**2).sum()
+    vy = (m * (ints[n:] ** 2).sum(axis=0) - sy**2).sum()
+    unit = Fraction(2) ** (2 * e) / p
+    mean_gap = Fraction(int(((m * sx - n * sy) ** 2).sum()), (n * m) ** 2) * unit
+    var_gap = abs(Fraction(int(vx), n * (n - 1)) - Fraction(int(vy), m * (m - 1))) * unit
+    return mean_gap, var_gap
 
 
 def marginal_energy_sum(sample: LabeledSample) -> float:

@@ -20,8 +20,13 @@ from hdtest.asymptotics import (
 )
 from hdtest.kernels import FAMILIES, KernelSpec, phi, phi_prime
 from hdtest.permutation import PermutationPlan, exact_masks, plan_masks
-from hdtest.statistic import masked_pair_sums, masked_statistics, pair_weights
-from tests.reference import mixture_normal_cdf_scipy, power_limit_mc_loop, s_w_cardinality
+from hdtest.statistic import masked_statistics, pair_weights
+from tests.reference import (
+    masked_pair_sums,
+    mixture_normal_cdf_scipy,
+    power_limit_mc_loop,
+    s_w_cardinality,
+)
 
 
 def grouped_sigma2(n, m, w, c, spec):
@@ -253,6 +258,12 @@ class TestHdmssVariance:
         c = MomentConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             sigma2_hdmss(0.0, c, KernelSpec("l1"))
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_non_finite_rho_refused(self, rho):
+        c = MomentConstants(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^rho must be finite and positive$"):
+            sigma2_hdmss(rho, c, KernelSpec("l2"))
 
 
 class TestMixtureNormalCdf:

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdtest import diagnostics
 from hdtest.datagen import EXAMPLES, ScenarioConfig, ar_correlation, generate
 from hdtest.diagnostics import diagnose, discrepancy_report, estimate_moment_constants
 from hdtest.kernels import FAMILIES, KernelSpec
+from hdtest.permutation import decide, exact_masks
 from hdtest.statistic import LabeledSample, build_kernel_matrix, ed_statistic, psibar_matrix
 from tests.reference import (
     analytic_vxy_quadratic,
     cov_gap,
+    exact_mean_variance_gaps,
     l2_moment_estimates,
     leave_pair_out_variances,
     marginal_energy_sum,
@@ -50,7 +53,7 @@ AGREEMENT = _agreement_samples()
 #: change of relabellings or decision rule must leave them bit for bit; the
 #: hint is left out, since it depends on both. Taken on one BLAS thread,
 #: which ``conftest.py`` sets.
-REPORT_VALUES_SHA256 = "dcc8c83d0e3ee4aa6cfc6d951f195896a432fa51460668632a5ad8253d5627b0"
+REPORT_VALUES_SHA256 = "5f45f19f60e59e9547d139e9b0d05c94143defaa0d55a46ec488904d4c9ca7e4"
 
 
 def _strong_shift_sample():
@@ -258,6 +261,30 @@ class TestDiscrepancyReport:
         assert rep.cov_gap == pytest.approx(_cov_gap_reference(s), rel=1e-10)
         # a one-row product goes through another BLAS kernel than the batch
         assert rep.marginal_ed_sum == pytest.approx(marginal_energy_sum(s), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(AGREEMENT))
+    def test_gaps_match_exact_rationals(self, name):
+        rep = discrepancy_report(AGREEMENT[name], seed=4)
+        mg, vg = exact_mean_variance_gaps(AGREEMENT[name])
+        assert abs(Fraction(rep.mean_gap) - mg) <= Fraction(1, 10**11) * mg
+        assert abs(Fraction(rep.var_gap) - vg) <= Fraction(1, 10**11) * vg
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_complements_tie_exactly(self, monkeypatch, n):
+        # for n = m a grouping and its complement are the same split, so all
+        # C(2n, n) exact masks come in pairs whose gaps must be bitwise equal
+        masks = exact_masks(n, n)
+        complement = {row.tobytes(): i for i, row in enumerate(~masks)}
+        partner = [complement[row.tobytes()] for row in masks]
+        seen = []
+        monkeypatch.setattr(diagnostics, "plan_masks", lambda plan, n, m: masks)
+        monkeypatch.setattr(diagnostics, "decide",
+                            lambda stats, alpha: seen.append(stats) or decide(stats, alpha))
+        for seed in range(50):
+            data = np.random.default_rng(seed).standard_normal((2 * n, 4))
+            discrepancy_report(LabeledSample(data, n, n))
+            gaps = seen.pop()[:2]
+            assert np.array_equal(gaps, gaps[:, partner]), seed
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_copied_blocks_have_no_mean_gap(self, example):

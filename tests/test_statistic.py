@@ -14,7 +14,6 @@ from hdtest.statistic import (
     build_kernel_matrix,
     ed_statistic,
     kernel_matrix_stack,
-    masked_pair_sums,
     masked_statistics,
     psibar_matrix,
 )
@@ -262,7 +261,7 @@ class TestMaskedStatistics:
 
     @pytest.mark.parametrize("n, m", [(3, 5), (4, 4), (6, 6), (7, 2)])
     def test_stack_matches_one_call_per_matrix(self, n, m):
-        # a (D, N, N) stack gives bit for bit the sums of D separate calls
+        # each matrix of a (D, N, N) stack gets bit for bit its own call's statistics
         rng = np.random.default_rng(n * 10 + m)
         stack = np.array([
             build_kernel_matrix(
@@ -272,10 +271,6 @@ class TestMaskedStatistics:
             for k in range(6)
         ])
         for masks in (exact_masks(n, m), sample_masks(n, m, 40, n + m)):
-            batched = masked_pair_sums(stack, n, m, masks)
-            for d, values in enumerate(stack):
-                for got, want in zip(batched, masked_pair_sums(values, n, m, masks)):
-                    assert np.array_equal(got[d], want)
             stats = masked_statistics(stack, n, m, masks)
             assert stats.shape == (len(stack), len(masks))
             assert np.array_equal(stats[2], masked_statistics(stack[2], n, m, masks))
