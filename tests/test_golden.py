@@ -5,9 +5,9 @@ A change that alters any RNG stream, the chunking of replications or the
 decision rule shows up here as a digest mismatch. Update a digest only
 when the change is deliberate, and say so in CHANGES.md.
 
-The suite runs on one BLAS thread (see ``conftest.py``); the studies and
-the test results are also run in a fresh interpreter on two, where their
-digests must not move.
+The suite runs on one BLAS thread (see ``conftest.py``); the studies, the
+test results and the limit Monte Carlo are also run in a fresh interpreter
+on two, where their digests must not move.
 """
 
 import hashlib
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import hdtest
+from hdtest.asymptotics import GaussianProcessSpec, power_limit_mc
 from hdtest.datagen import ScenarioConfig
 from hdtest.harness import RealDataset, StudyConfig, run_power_study, run_realdata_study
 from hdtest.kernels import FAMILIES, KernelSpec
@@ -33,6 +34,7 @@ REALDATA_SHA256 = "e5b7460ae7ac1f9dcc3117198883840258c6f31dabf7022f2734529829986
 SAME_CLASS_SHA256 = "7f47f3b7470b424e65f78aae10a9faecb53120289fae7e0154ca724b0d0176fb"
 TEST_RESULT_SHA256 = "58136f5581d37c240a349f3453587b3a6ef558d798c4b4fd98334ea1112daf48"
 DECISIONS_SHA256 = "cba781a2de4bd6616fca0fff85de447b60d4d68fc07b3018ed7b06da9ab98719"
+POWER_LIMIT_SHA256 = "92d82d513e13b85744ef693e406b23f092a4ff3a017a0945b524e4400927c4f2"
 
 
 def _csv_sha256(table) -> str:
@@ -183,3 +185,39 @@ def test_decisions_digest():
 def test_result_digests_at_two_blas_threads():
     assert _at_two_blas_threads("result_digests") == {
         "test_result": TEST_RESULT_SHA256, "decisions": DECISIONS_SHA256}
+
+
+#: (GaussianProcessSpec arguments, alpha, plan, draws, seed) of the pinned
+#: limit Monte Carlo runs: the cases of ``TestBatchedLimitMC``; a 3 x 3 Monte
+#: Carlo plan whose 300 masks repeat the 10 distinct relabellings and their
+#: complements many times over, at an alpha where the identity's own copies
+#: do not decide alone; and a 6 x 6 exact plan
+LIMIT_CASES = (
+    ((3, 3, 1.0, 1.0, 1.0), 0.05, PermutationPlan(mode="exact"), 20000, 9),
+    ((3, 3, 0.0, 0.0, 0.0), 0.05, PermutationPlan(mode="exact"), 1000, 0),
+    ((3, 3, 4.0, 1.0, 1.0), 0.05, PermutationPlan(mode="exact"), 5000, 100),
+    ((3, 3, 4.0, 1.0, 1.0), 0.05, PermutationPlan(mode="exact"), 5000, 200),
+    ((3, 3, 4.0, 1.0, 1.0), 0.05, PermutationPlan(mode="exact"), 5000, 42),
+    ((3, 4, 2.0, 1.0, 0.5), 0.05, PermutationPlan(count=60, seed=7), 1500, 3),
+    ((4, 6, 1.0, 0.0, 2.0), 0.05, PermutationPlan(mode="exact"), 1000, 11),
+    ((5, 3, 0.0, 1.0, 2.0), 0.05, PermutationPlan(mode="exact"), 1000, 12),
+    ((10, 10, 1.0, 1.0, 1.0), 0.05, PermutationPlan(count=300, seed=3), 1000, 3),
+    ((3, 3, 1.0, 2.0, 0.5), 0.5, PermutationPlan(count=300, seed=8), 2000, 5),
+    ((6, 6, 1.0, 1.0, 1.0), 0.05, PermutationPlan(mode="exact"), 1000, 6),
+)
+
+
+def power_limit_digest() -> str:
+    """Digest of ``power_limit_mc``'s (rate, se), as float hex, over
+    :data:`LIMIT_CASES`."""
+    return _sha256([[float.hex(v) for v in power_limit_mc(GaussianProcessSpec(*args), alpha,
+                                                            plan, draws, seed=seed)]
+                    for args, alpha, plan, draws, seed in LIMIT_CASES])
+
+
+def test_power_limit_digest():
+    assert power_limit_digest() == POWER_LIMIT_SHA256
+
+
+def test_power_limit_digest_at_two_blas_threads():
+    assert _at_two_blas_threads("power_limit_digest") == POWER_LIMIT_SHA256
