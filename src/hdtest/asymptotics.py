@@ -9,6 +9,9 @@ regime. f(w) and sigma^2_{n,w} sum the statistic's own
 :func:`~hdtest.statistic.pair_weights` over the pairs a class-w relabelling
 puts in each block. The mixture's normal cdf is ``0.5 * erfc(-z / sqrt(2))``
 from :mod:`math`, which keeps its relative accuracy far into the lower tail.
+The limit statistic is linear in a draw's pair values, with those same
+pair weights as coefficients, so the Monte Carlo evaluates its draws as one
+GEMM with the coefficients of each distinct relabelling.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from operator import mul
 import numpy as np
 
 from .kernels import KernelSpec, phi, phi_prime
-from .permutation import PermutationPlan, _check_alpha, decide, plan_masks
-from .statistic import _check_integers, masked_statistics, pair_weights
+from .permutation import PermutationPlan, _block_rejections, _check_alpha, plan_masks
+from .statistic import _check_integers, pair_weights
 
 
 @dataclass(frozen=True)
@@ -160,57 +163,87 @@ class GaussianProcessSpec:
         _check_variances(self.v_xy, self.v_x, self.v_y)
 
 
-#: most entries of one batch's (draws, masks, n+m) product, and of its
-#: (draws, n+m, n+m) pair matrices, in :func:`power_limit_mc`
-_BATCH_ENTRIES = 2**17
+#: most entries of one block of coefficients (pairs x relabellings) in
+#: :func:`power_limit_mc`, and of one batch's standard normals (draws x
+#: pairs) and statistics (draws x relabellings) when each batch builds them
+_BLOCK_ENTRIES = 2**20
+
+#: most entries of one batch's normals and statistics when the coefficients
+#: are built once
+_BATCH_ENTRIES = 2**16
 
 
 def _pair_layout(gp: GaussianProcessSpec):
-    """Where each standard normal of a draw goes: the flat upper and lower
-    indices of its entry and its standard deviation. The cross block comes
-    first, then the upper triangles of the X and Y blocks, with no entries
-    for a zero-variance block."""
+    """Each standard normal of a draw: the row and column of its pair and its
+    standard deviation. The cross block comes first, then the upper triangles
+    of the X and Y blocks, with no entries for a zero-variance block."""
     n, m, size = gp.n, gp.m, gp.n + gp.m
     iu_x, iu_y = np.triu_indices(n, 1), np.triu_indices(m, 1)
     rows = np.concatenate([np.repeat(np.arange(n), m), iu_x[0], n + iu_y[0]])
     cols = np.concatenate([np.tile(np.arange(n, size), n), iu_x[1], n + iu_y[1]])
     sd = np.repeat(np.sqrt([gp.v_xy, gp.v_x, gp.v_y]), [n * m, iu_x[0].size, iu_y[0].size])
     keep = sd > 0
-    rows, cols = rows[keep], cols[keep]
-    return rows * size + cols, cols * size + rows, sd[keep]
+    return rows[keep], cols[keep], sd[keep]
 
 
-def _gaussian_pair_matrices(gp: GaussianProcessSpec, rng: np.random.Generator,
-                            draws: int, layout) -> np.ndarray:
-    """(draws, n+m, n+m) stack of symmetric zero-diagonal matrices of limiting
-    pair contributions: cross block i.i.d. N(0, v_xy), within-X block
-    N(0, v_x), within-Y block N(0, v_y).
+def _distinct_relabellings(masks: np.ndarray):
+    """The distinct relabellings among ``masks``, each as its first mask in
+    order of first appearance (so the identity, row 0, leads), and how many
+    masks give each. A mask and its complement (n = m) split the pairs into
+    the same classes, so two masks are one relabelling when they share the
+    representative with position 0 in group X."""
+    _, first, counts = np.unique(masks ^ ~masks[:, :1], axis=0,
+                                 return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return masks[first[order]], counts[order]
 
-    Each draw is one row of standard normals placed and scaled by
-    ``layout``, the :func:`_pair_layout` of ``gp``.
-    ``rng.normal(scale=s)`` is ``s * rng.standard_normal()`` bit for bit, so
-    this is the stream of drawing one matrix after the other, block by block.
+
+def _coefficients(masks: np.ndarray, layout, weights: np.ndarray) -> np.ndarray:
+    """(pairs, masks) coefficients of the limit statistic: entry (k, s) is
+    pair k's standard deviation times the pair weight of its class under
+    mask s, from ``weights`` = (within Y, cross, within X)."""
+    rows, cols, sd = layout
+    # 0, 1 or 2 of the pair's two positions in group X
+    in_x = masks[:, rows].view(np.uint8) + masks[:, cols].view(np.uint8)
+    coefficients = np.take(weights, in_x)
+    coefficients *= sd
+    return coefficients.T
+
+
+def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, seed: int):
+    """The limit statistics of ``draws`` draws over the distinct relabellings
+    among ``masks``: per batch of draws, an iterator of (statistics,
+    multiplicities) blocks of relabellings, the identity first.
+
+    The statistic is linear in a draw's pair values, so a block is one GEMM
+    of the batch's standard normals with the block's coefficients. A block
+    of coefficients holds at most :data:`_BLOCK_ENTRIES` entries. When they
+    all fit in one, they are built once and a batch's normals and
+    statistics hold at most :data:`_BATCH_ENTRIES`; otherwise each batch
+    builds them block by block and holds up to :data:`_BLOCK_ENTRIES`
+    (a batch is at least one draw).
     """
-    upper, lower, sd = layout
-    size = gp.n + gp.m
-    vals = rng.standard_normal((draws, sd.size)) * sd
-    g = np.zeros((draws, size * size))
-    g[:, upper] = vals
-    g[:, lower] = vals
-    return g.reshape(draws, size, size)
-
-
-def _limit_statistics(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, seed: int):
-    """The limit process over ``masks`` for each of ``draws`` draws, yielded
-    in (D, S) batches of at most :data:`_BATCH_ENTRIES` / ((n+m) max(S, n+m))
-    draws, one stacked GEMM each."""
-    n, m = gp.n, gp.m
-    rng = np.random.default_rng(seed)
+    distinct, counts = _distinct_relabellings(masks)
     layout = _pair_layout(gp)
-    size = max(1, _BATCH_ENTRIES // ((n + m) * max(masks.shape[0], n + m)))
+    w_xy, w_x, w_y = pair_weights(gp.n, gp.m)
+    weights = np.array([w_y, w_xy, w_x], dtype=float)
+    pairs = max(1, layout[2].size)
+    width = min(len(distinct), max(1, _BLOCK_ENTRIES // pairs))
+    blocks = [slice(i, i + width) for i in range(0, len(distinct), width)]
+    once = _coefficients(distinct, layout, weights) if len(blocks) == 1 else None
+
+    def evaluate(z):
+        for block in blocks:
+            coefficients = _coefficients(distinct[block], layout, weights) if once is None \
+                else once
+            yield z @ coefficients, counts[block]
+
+    # a batch that builds the coefficients anew is as large as a block, so
+    # that each build serves as many draws as that memory allows
+    size = max(1, (_BLOCK_ENTRIES if once is None else _BATCH_ENTRIES) // max(pairs, width))
+    rng = np.random.default_rng(seed)
     for start in range(0, draws, size):
-        g = _gaussian_pair_matrices(gp, rng, min(size, draws - start), layout)
-        yield masked_statistics(g, n, m, masks)
+        yield evaluate(rng.standard_normal((min(size, draws - start), layout[2].size)))
 
 
 def power_limit_mc(
@@ -222,13 +255,25 @@ def power_limit_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the limiting rejection probability.
 
-    Each draw samples the Gaussian pair matrix, evaluates the limit process
-    over the identity and the plan's permutations, and rejects by the test's
-    count: when at most floor(alpha S) values reach the identity's.
-    Draws are evaluated in batches, one stacked masked GEMM and one
-    :func:`~hdtest.permutation.decide` call per batch, with memory bounded
-    by a fixed number of entries per batch; every draw's statistics, and so
-    the estimate, are bit for bit those of evaluating the draws one by one.
+    A draw is one standard normal per pair of the cross, within-X and
+    within-Y blocks, scaled by its block's standard deviation (a
+    zero-variance block draws none). Under a relabelling the limit
+    statistic is linear in these values: pair k contributes its value times
+    the exact :func:`~hdtest.statistic.pair_weights` entry of its class
+    (cross, within X, within Y) under the relabelling. A draw rejects by the
+    test's count: when at most floor(alpha S) of the S values over the
+    identity and the plan's permutations reach the identity's.
+
+    Masks that split the pairs alike, a repeated mask and, for n = m, a
+    mask and its complement, are one relabelling: it is evaluated once and
+    counted as often as it occurs, so they tie bit for bit and n = m exact
+    plans evaluate half their masks. Draws come in batches, and each batch
+    is one GEMM of its normals with each block of coefficients, the count
+    taken block by block; a block of coefficients, a batch's normals and a
+    block's statistics each hold at most a fixed number of entries
+    (:data:`_BLOCK_ENTRIES`, :data:`_BATCH_ENTRIES`). Each statistic is a
+    dot product of the draw's normals with its coefficients, accurate to
+    its length's rounding bound in any summation order.
     Returns (estimate, standard error).
     """
     _check_integers(draws=draws, seed=seed)
@@ -239,8 +284,8 @@ def power_limit_mc(
     _check_alpha(alpha)
     masks = plan_masks(plan, gp.n, gp.m)
     rejections = 0
-    for stats in _limit_statistics(gp, masks, draws, seed):
-        rejections += int(np.count_nonzero(decide(stats, alpha)[1]))
+    for blocks in _limit_batches(gp, masks, draws, seed):
+        rejections += int(np.count_nonzero(_block_rejections(blocks, alpha, len(masks))))
     rate = rejections / draws
     se = math.sqrt(rate * (1.0 - rate) / draws)
     return rate, se

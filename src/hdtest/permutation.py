@@ -13,7 +13,9 @@ floor(alpha S) statistics reach the observed one.
 :func:`permutation_test` evaluates all S masks: its p-value is that count
 over S, and it reports the quantile, :func:`critical_value`. A study keeps
 only the decisions, and :func:`_sequential_rejections` takes ``decide``'s
-count chunk by chunk, only until each kernel's decision is fixed.
+count chunk by chunk, only until each kernel's decision is fixed. The limit
+Monte Carlo takes it block by block with :func:`_block_rejections`, each
+distinct relabelling counted as often as it occurs among the masks.
 """
 
 from __future__ import annotations
@@ -119,9 +121,13 @@ def _tail_size(alpha: float, size: int) -> int:
     return math.floor(alpha * size)
 
 
-def _reached(stats: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """How many ``stats`` along the last axis are >= ``observed``."""
-    return np.count_nonzero(stats >= observed, axis=-1)
+def _reached(stats: np.ndarray, observed: np.ndarray, counts=None) -> np.ndarray:
+    """How many ``stats`` along the last axis are >= ``observed``, each
+    counted ``counts`` times when given."""
+    if counts is None:
+        return np.count_nonzero(stats >= observed, axis=-1)
+    # einsum casts the comparison in buffered chunks, not as a whole copy
+    return np.einsum("...j,j->...", stats >= observed, counts)
 
 
 def decide(stats: np.ndarray, alpha: float):
@@ -181,6 +187,20 @@ def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
             if not keep.any():
                 break
             live, values, observed = live[keep], values[keep], observed[keep]
+    return reached <= k
+
+
+def _block_rejections(blocks, alpha: float, size: int) -> np.ndarray:
+    """``decide``'s rejections for rows of S = ``size`` statistics that come
+    as (statistics, multiplicities) column blocks, a column standing for as
+    many of the S as its multiplicity says; column 0 of the first block is
+    the observed one. The count is taken block by block."""
+    k = _tail_size(alpha, size)
+    reached = 0
+    for i, (stats, counts) in enumerate(blocks):
+        if i == 0:
+            observed = stats[:, :1].copy()
+        reached = reached + _reached(stats, observed, counts)
     return reached <= k
 
 

@@ -9,10 +9,10 @@ for duplicated rows); cityblock distances come from ``pdist``.
 :func:`kernel_matrix_stack` builds the (K, n+m, n+m) stack of a sample's
 kernels and :func:`masked_statistics` evaluates it, or one matrix of it,
 under a batch of group-X masks as one U-centred quadratic form: the one
-path to permuted statistics for the test, the studies (chunk by chunk, see
-:mod:`hdtest.permutation`) and the limit Monte Carlo. The diagnostics' mean
-and variance gaps are its forms over the double-centred squared distances,
-and the limit formulas of :mod:`hdtest.asymptotics` sum :func:`pair_weights` too.
+path to permuted statistics for the test and the studies (chunk by chunk,
+see :mod:`hdtest.permutation`). The diagnostics' mean and variance gaps are
+its forms over the double-centred squared distances. The limit formulas and
+the limit Monte Carlo of :mod:`hdtest.asymptotics` sum :func:`pair_weights` too.
 """
 
 from __future__ import annotations

@@ -175,20 +175,85 @@ def power_limit_mc_loop(
 ):
     """``power_limit_mc`` one draw at a time: one pair matrix, one masked
     GEMM and one ``decide`` per draw. Returns (estimate, standard error,
-    the (draws, S) statistics)."""
+    each draw's decision)."""
     n, m = gp.n, gp.m
     masks = plan_masks(plan, n, m)
     rng = np.random.default_rng(seed)
-    stats = np.empty((draws, masks.shape[0]))
-    rejections = 0
+    rejects = np.empty(draws, dtype=bool)
     for d in range(draws):
         g = gaussian_pair_matrix(gp, rng)
-        stats[d] = masked_statistics(g, n, m, masks)
-        _, reject = decide(stats[d], alpha)
-        rejections += bool(reject)
-    rate = rejections / draws
+        rejects[d] = decide(masked_statistics(g, n, m, masks), alpha)[1]
+    rate = int(np.count_nonzero(rejects)) / draws
     se = math.sqrt(rate * (1.0 - rate) / draws)
-    return rate, se, stats
+    return rate, se, rejects
+
+
+def limit_statistics_fsum(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, seed: int):
+    """The limit statistic of each of ``draws`` draws under each row of
+    ``masks``, each the ``math.fsum`` of its pair terms, and the sum of the
+    terms' absolute values: two (draws, S) arrays.
+
+    Pair (i, j)'s term is its standard normal times c, where c is the float
+    weight of the pair's class under the mask times the standard deviation
+    of the pair's block, each product rounded once. The normals are the
+    stream of ``power_limit_mc``: :func:`gaussian_pair_matrix` at unit
+    variance in each block that ``gp`` draws.
+    """
+    n, m = gp.n, gp.m
+    unit = replace(gp, v_xy=float(gp.v_xy > 0), v_x=float(gp.v_x > 0), v_y=float(gp.v_y > 0))
+    rows, cols = np.triu_indices(n + m, 1)
+    sd_xy, sd_x, sd_y = np.sqrt([gp.v_xy, gp.v_x, gp.v_y])
+    block_sd = np.where(cols < n, sd_x, np.where(rows >= n, sd_y, sd_xy))
+    w_xy, w_x, w_y = (float(w) for w in pair_weights(n, m))
+    a, b = masks[:, rows], masks[:, cols]
+    coefficients = np.where(a & b, w_x, np.where(a | b, w_xy, w_y)) * block_sd
+    rng = np.random.default_rng(seed)
+    stats, scale = np.empty((draws, len(masks))), np.empty((draws, len(masks)))
+    for d in range(draws):
+        terms = coefficients * gaussian_pair_matrix(unit, rng)[rows, cols]
+        stats[d] = list(map(math.fsum, terms.tolist()))
+        scale[d] = np.abs(terms).sum(axis=1)
+    return stats, scale
+
+
+def gamma(j: int) -> float:
+    """Higham's gamma_j = j u / (1 - j u), u = 2**-53: the relative bound on
+    the rounding of j successive operations, such as a dot product of
+    length j in any summation order."""
+    u = 2.0**-53
+    return j * u / (1 - j * u)
+
+
+def _u_centred_loop(values: np.ndarray) -> np.ndarray:
+    """U-centred copy of a symmetric matrix, entry by entry: V_ij - R_i/(N-2)
+    - R_j/(N-2) + T/((N-1)(N-2)) off the diagonal, 0 on it."""
+    size = len(values)
+    rows = [math.fsum(r) for r in values.tolist()]
+    total = math.fsum(rows)
+    out = np.zeros_like(values)
+    for i in range(size):
+        for j in range(size):
+            if i != j:
+                out[i, j] = (values[i, j] - (rows[i] + rows[j]) / (size - 2)
+                             + total / ((size - 1) * (size - 2)))
+    return out
+
+
+def permutation_mean_square(values: np.ndarray, n: int, m: int) -> float:
+    """Mean square of the permuted statistic over all C(n+m, n) relabellings,
+    in closed form: 2 c^2 |Ṽ|_F^2 (p_2 - 2 p_3 + p_4), with Ṽ the U-centred
+    ``values``, c = (w_x + w_y)/2 - w_xy of the exact pair weights and
+    p_k = n (n-1) ... (n-k+1) / (N (N-1) ... (N-k+1)), N = n + m. The mean
+    itself is 0."""
+    size = n + m
+    w_xy, w_x, w_y = pair_weights(n, m)
+    c = (w_x + w_y) / 2 - w_xy
+
+    def p(k):
+        return Fraction(math.perm(n, k), math.perm(size, k))
+
+    frobenius = math.fsum(v * v for v in _u_centred_loop(values).ravel().tolist())
+    return float(2 * c * c * (p(2) - 2 * p(3) + p(4))) * frobenius
 
 
 def mixture_normal_cdf_scipy(a_values, n: int, m: int, c: MomentConstants,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +20,16 @@ from hdtest.asymptotics import (
     sigma2_nw,
 )
 from hdtest.kernels import FAMILIES, KernelSpec, phi, phi_prime
-from hdtest.permutation import PermutationPlan, exact_masks, plan_masks
+from hdtest.permutation import (PermutationPlan, _block_rejections, exact_masks, plan_masks,
+                                sample_masks)
 from hdtest.statistic import masked_statistics, pair_weights
 from tests.reference import (
+    gamma,
+    gaussian_pair_matrix,
+    limit_statistics_fsum,
     masked_pair_sums,
     mixture_normal_cdf_scipy,
+    permutation_mean_square,
     power_limit_mc_loop,
     s_w_cardinality,
 )
@@ -359,7 +365,7 @@ class TestPowerLimitMC:
             raise AssertionError("a draw ran before the seed was checked")
 
         monkeypatch.setattr(asymptotics, "plan_masks", no_draw)
-        monkeypatch.setattr(asymptotics, "_limit_statistics", no_draw)
+        monkeypatch.setattr(asymptotics, "_limit_batches", no_draw)
         gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             power_limit_mc(gp, 0.05, plan, 1000, seed=-1)
@@ -369,7 +375,7 @@ class TestPowerLimitMC:
         def no_draw(*args):
             raise AssertionError("a batch was drawn before alpha was checked")
 
-        monkeypatch.setattr(asymptotics, "_gaussian_pair_matrices", no_draw)
+        monkeypatch.setattr(asymptotics, "_limit_batches", no_draw)
         gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             power_limit_mc(gp, 1.5, plan, 1000)
@@ -448,14 +454,29 @@ class TestPowerLimitMC:
             GaussianProcessSpec(3, 3, math.inf, 1.0, 1.0)
 
 
-def _batched_statistics(gp, plan, draws, seed):
+def _engine(gp, plan, draws, seed, alpha=0.05):
+    """The limit Monte Carlo's distinct relabellings of ``plan``, their
+    multiplicities, the (draws, relabellings) statistics and each draw's
+    decision, batch by batch as ``power_limit_mc`` takes them."""
     masks = plan_masks(plan, gp.n, gp.m)
-    return list(asymptotics._limit_statistics(gp, masks, draws, seed))
+    stats, rejects = [], []
+    for blocks in asymptotics._limit_batches(gp, masks, draws, seed):
+        blocks = list(blocks)
+        stats.append(np.hstack([block for block, _ in blocks]))
+        rejects.append(_block_rejections(blocks, alpha, len(masks)))
+    distinct, counts = asymptotics._distinct_relabellings(masks)
+    return distinct, counts, np.concatenate(stats), np.concatenate(rejects)
+
+
+def _pairs(gp) -> int:
+    """Length of one draw's dot products: the pairs of the nonzero blocks."""
+    return asymptotics._pair_layout(gp)[2].size
 
 
 class TestBatchedLimitMC:
-    """The batched limit Monte Carlo against the per-draw loop of
-    ``tests.reference``: the same statistics and estimates, bit for bit."""
+    """The batched limit Monte Carlo against the per-draw loop and the fsum
+    reference of ``tests.reference``: the same decisions and estimates, and
+    every statistic within the rounding bound of its dot product."""
 
     @pytest.mark.parametrize(
         "args, plan, draws, seed",
@@ -477,28 +498,84 @@ class TestBatchedLimitMC:
     )
     def test_matches_per_draw_loop(self, args, plan, draws, seed):
         gp = GaussianProcessSpec(*args)
-        rate, se, loop_stats = power_limit_mc_loop(gp, 0.05, plan, draws, seed=seed)
-        assert np.array_equal(np.concatenate(_batched_statistics(gp, plan, draws, seed)),
-                              loop_stats)
+        rate, se, loop_rejects = power_limit_mc_loop(gp, 0.05, plan, draws, seed=seed)
+        distinct, _, stats, rejects = _engine(gp, plan, draws, seed)
+        assert np.array_equal(rejects, loop_rejects)
         assert power_limit_mc(gp, 0.05, plan, draws, seed=seed) == (rate, se)
+        # the GEMM may sum in any order: each statistic is within the dot
+        # product's bound of the correctly rounded sum of the same terms
+        ref, scale = limit_statistics_fsum(gp, distinct, draws, seed)
+        assert np.all(np.abs(stats - ref) <= gamma(_pairs(gp) + 2) * scale)
+
+    @pytest.mark.parametrize("args, plan", [
+        ((3, 4, 2.0, 1.0, 0.5), PermutationPlan(mode="exact")),
+        ((4, 4, 1.0, 3.0, 0.5), PermutationPlan(mode="exact")),
+        ((4, 5, 1.0, 0.0, 2.0), PermutationPlan(mode="exact")),
+        ((10, 10, 1.0, 1.0, 1.0), PermutationPlan(count=300, seed=3)),
+    ])
+    def test_coefficients_are_the_engine_on_unit_pairs(self, args, plan):
+        # pair k's row of coefficients is the statistic of the pair matrix
+        # holding k's standard deviation at k and 0 elsewhere
+        gp = GaussianProcessSpec(*args)
+        rows, cols, sd = layout = asymptotics._pair_layout(gp)
+        distinct, _ = asymptotics._distinct_relabellings(plan_masks(plan, gp.n, gp.m))
+        w_xy, w_x, w_y = (float(w) for w in pair_weights(gp.n, gp.m))
+        coefficients = asymptotics._coefficients(distinct, layout, np.array([w_y, w_xy, w_x]))
+        units = np.zeros((sd.size, gp.n + gp.m, gp.n + gp.m))
+        units[np.arange(sd.size), rows, cols] = units[np.arange(sd.size), cols, rows] = sd
+        expected = masked_statistics(units, gp.n, gp.m, distinct)
+        assert np.all(np.abs(coefficients - expected) <= gamma(sd.size + 2) * np.abs(coefficients))
+
+    @pytest.mark.parametrize("args", [
+        (3, 4, 2.0, 1.0, 0.5),  # n != m
+        (4, 4, 1.0, 3.0, 0.5),  # n = m, every relabelling counted twice
+        (4, 5, 1.0, 0.0, 2.0),  # a zero-variance block
+    ])
+    def test_exact_moments_match_closed_form(self, args):
+        gp = GaussianProcessSpec(*args)
+        plan, draws = PermutationPlan(mode="exact"), 300
+        _, counts, stats, _ = _engine(gp, plan, draws, seed=5)
+        size = int(counts.sum())
+        assert size == math.comb(gp.n + gp.m, gp.n)
+        rng = np.random.default_rng(5)
+        for row in stats:
+            pair_matrix = gaussian_pair_matrix(gp, rng)
+            mean = math.fsum((counts * row).tolist()) / size
+            mean_square = math.fsum((counts * row * row).tolist()) / size
+            closed = permutation_mean_square(pair_matrix, gp.n, gp.m)
+            assert abs(mean) <= 1e-14 * np.abs(row).max()
+            assert abs(mean_square - closed) <= 1e-13 * closed
 
     def test_batches_bound_memory(self):
-        gp = GaussianProcessSpec(10, 10, 1.0, 1.0, 1.0)
-        batches = _batched_statistics(gp, PermutationPlan(count=300, seed=3), 1000, 3)
-        sizes = [len(b) for b in batches]
-        assert len(set(sizes[:-1])) == 1 and 0 < sizes[-1] < sizes[0]
-        assert sizes[0] * 300 * 20 <= asymptotics._BATCH_ENTRIES
+        # a large exact plan, whose coefficients take several blocks, and a
+        # large-N Monte Carlo plan, whose batches hold few draws; the bound,
+        # five arrays of a block's entries, was fixed before measuring
+        bound = 5 * 8 * asymptotics._BLOCK_ENTRIES
+        for gp, plan in ((GaussianProcessSpec(7, 9, 1.0, 1.0, 1.0), PermutationPlan(mode="exact")),
+                         (GaussianProcessSpec(60, 60, 1.0, 1.0, 1.0), PermutationPlan(count=300))):
+            tracemalloc.start()
+            try:
+                power_limit_mc(gp, 0.05, plan, 1000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
     def test_mask_and_complement_tie_exactly(self):
-        # n = m: a mask and its complement give the same statistic bit for
-        # bit in every draw, so the exact 3 x 3 identity never strictly
-        # exceeds its critical value
+        # n = m: a mask and its complement, and every repeat of a mask, are
+        # one relabelling, evaluated once and counted with its multiplicity,
+        # so the exact 3 x 3 identity counts twice and never rejects
         n = 3
-        gp = GaussianProcessSpec(n, n, 1.0, 1.0, 1.0)
         masks = exact_masks(n, n)
-        rows = {m.tobytes(): i for i, m in enumerate(masks)}
-        complement = [rows[(~m).tobytes()] for m in masks]
-        g = asymptotics._gaussian_pair_matrices(gp, np.random.default_rng(9), 500,
-                                                asymptotics._pair_layout(gp))
-        stats = masked_statistics(g, n, n, masks)
-        assert np.array_equal(stats, stats[:, complement])
+        distinct, counts = asymptotics._distinct_relabellings(masks)
+        assert len(distinct) == 10 and np.all(counts == 2)
+        assert np.array_equal(distinct[0], masks[0])
+        reps = distinct ^ ~distinct[:, :1]
+        assert len(np.unique(reps, axis=0)) == len(distinct)
+        assert {m.tobytes() for m in reps} == {m.tobytes() for m in masks ^ ~masks[:, :1]}
+        repeated = sample_masks(n, n, 300, 8)
+        distinct, counts = asymptotics._distinct_relabellings(repeated)
+        assert len(distinct) == 10 and counts.sum() == 300
+        assert np.array_equal(distinct[0], repeated[0])
+        gp = GaussianProcessSpec(n, n, 1.0, 1.0, 1.0)
+        assert power_limit_mc(gp, 0.05, PermutationPlan(mode="exact"), 20000, seed=9) == (0.0, 0.0)
