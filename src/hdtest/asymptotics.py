@@ -229,18 +229,20 @@ def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, seed:
     weights = np.array([w_y, w_xy, w_x], dtype=float)
     pairs = max(1, layout[2].size)
     width = min(len(distinct), max(1, _BLOCK_ENTRIES // pairs))
-    blocks = [slice(i, i + width) for i in range(0, len(distinct), width)]
-    once = _coefficients(distinct, layout, weights) if len(blocks) == 1 else None
+
+    def coefficient_blocks():
+        for i in range(0, len(distinct), width):
+            yield _coefficients(distinct[i : i + width], layout, weights), counts[i : i + width]
+
+    built = list(coefficient_blocks()) if width == len(distinct) else None
 
     def evaluate(z):
-        for block in blocks:
-            coefficients = _coefficients(distinct[block], layout, weights) if once is None \
-                else once
-            yield z @ coefficients, counts[block]
+        for coefficients, multiplicities in built or coefficient_blocks():
+            yield z @ coefficients, multiplicities
 
     # a batch that builds the coefficients anew is as large as a block, so
     # that each build serves as many draws as that memory allows
-    size = max(1, (_BLOCK_ENTRIES if once is None else _BATCH_ENTRIES) // max(pairs, width))
+    size = max(1, (_BATCH_ENTRIES if built else _BLOCK_ENTRIES) // max(pairs, width))
     rng = np.random.default_rng(seed)
     for start in range(0, draws, size):
         yield evaluate(rng.standard_normal((min(size, draws - start), layout[2].size)))
