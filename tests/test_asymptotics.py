@@ -454,23 +454,18 @@ class TestPowerLimitMC:
             GaussianProcessSpec(3, 3, math.inf, 1.0, 1.0)
 
 
-def _engine(gp, plan, draws, seed, alpha=0.05):
+def _engine(gp, plan, draws, seed):
     """The limit Monte Carlo's distinct relabellings of ``plan``, their
     multiplicities, the (draws, relabellings) statistics and each draw's
-    decision, batch by batch as ``power_limit_mc`` takes them."""
+    decision at alpha 0.05, batch by batch as ``power_limit_mc`` takes them."""
     masks = plan_masks(plan, gp.n, gp.m)
     stats, rejects = [], []
     for blocks in asymptotics._limit_batches(gp, masks, draws, seed):
         blocks = list(blocks)
         stats.append(np.hstack([block for block, _ in blocks]))
-        rejects.append(_block_rejections(blocks, alpha, len(masks)))
+        rejects.append(_block_rejections(blocks, 0.05, len(masks)))
     distinct, counts = asymptotics._distinct_relabellings(masks)
     return distinct, counts, np.concatenate(stats), np.concatenate(rejects)
-
-
-def _pairs(gp) -> int:
-    """Length of one draw's dot products: the pairs of the nonzero blocks."""
-    return asymptotics._pair_layout(gp)[2].size
 
 
 class TestBatchedLimitMC:
@@ -502,10 +497,12 @@ class TestBatchedLimitMC:
         distinct, _, stats, rejects = _engine(gp, plan, draws, seed)
         assert np.array_equal(rejects, loop_rejects)
         assert power_limit_mc(gp, 0.05, plan, draws, seed=seed) == (rate, se)
-        # the GEMM may sum in any order: each statistic is within the dot
-        # product's bound of the correctly rounded sum of the same terms
+        # the GEMM may sum in any order: each statistic is within the bound
+        # of a dot product over the P drawn pairs of the correctly rounded
+        # sum of the same terms
         ref, scale = limit_statistics_fsum(gp, distinct, draws, seed)
-        assert np.all(np.abs(stats - ref) <= gamma(_pairs(gp) + 2) * scale)
+        pairs = asymptotics._pair_layout(gp)[2].size
+        assert np.all(np.abs(stats - ref) <= gamma(pairs + 2) * scale)
 
     @pytest.mark.parametrize("args, plan", [
         ((3, 4, 2.0, 1.0, 0.5), PermutationPlan(mode="exact")),
