@@ -35,6 +35,7 @@ SAME_CLASS_SHA256 = "7f47f3b7470b424e65f78aae10a9faecb53120289fae7e0154ca724b0d0
 TEST_RESULT_SHA256 = "58136f5581d37c240a349f3453587b3a6ef558d798c4b4fd98334ea1112daf48"
 DECISIONS_SHA256 = "cba781a2de4bd6616fca0fff85de447b60d4d68fc07b3018ed7b06da9ab98719"
 POWER_LIMIT_SHA256 = "92d82d513e13b85744ef693e406b23f092a4ff3a017a0945b524e4400927c4f2"
+MULTI_CHUNK_SHA256 = "111e07fff294c2e0284106d542bbbb4c0394e2e8876f2967d9137a0c8ef986f3"
 
 
 def _csv_sha256(table) -> str:
@@ -185,6 +186,43 @@ def test_decisions_digest():
 def test_result_digests_at_two_blas_threads():
     assert _at_two_blas_threads("result_digests") == {
         "test_result": TEST_RESULT_SHA256, "decisions": DECISIONS_SHA256}
+
+
+#: (n, m, plan) of the pinned tests whose masks come in several chunks: Monte
+#: Carlo plans of 3, 7 and 39 chunks, and exact 8 x 8 (12 870 masks, 3
+#: chunks) and 7 x 9 (11 440 masks, 2 chunks)
+MULTI_CHUNK_PLANS = (
+    (20, 20, PermutationPlan(count=2000, seed=13)),
+    (45, 55, PermutationPlan(count=1000, seed=14)),
+    (100, 100, PermutationPlan(count=5000, seed=15)),
+    (8, 8, PermutationPlan(mode="exact")),
+    (7, 9, PermutationPlan(mode="exact")),
+)
+
+
+def multi_chunk_digest() -> str:
+    """Digest of everything ``permutation_test`` reports, statistics as float
+    hex, for :data:`MULTI_CHUNK_PLANS`, the four kernels, and continuous and
+    integer-valued data, the latter with Y shifted."""
+    cases = []
+    for n, m, plan in MULTI_CHUNK_PLANS:
+        for family in FAMILIES:
+            for kind, shift in (("continuous", 0.0), ("ties", 0.5)):
+                data = _test_data(kind, n + m)
+                data[n:] += shift
+                res = permutation_test(LabeledSample(data, n, m), KernelSpec(family), 0.05, plan)
+                cases.append([float.hex(res.statistic), float.hex(res.critical_value),
+                              float.hex(res.p_value), res.reject,
+                              sorted(res.w_histogram.items())])
+    return _sha256(cases)
+
+
+def test_multi_chunk_digest():
+    assert multi_chunk_digest() == MULTI_CHUNK_SHA256
+
+
+def test_multi_chunk_digest_at_two_blas_threads():
+    assert _at_two_blas_threads("multi_chunk_digest") == MULTI_CHUNK_SHA256
 
 
 #: (GaussianProcessSpec arguments, alpha, plan, draws, seed) of the pinned
