@@ -239,6 +239,7 @@ def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, seed:
     def evaluate(z):
         for coefficients, multiplicities in built or coefficient_blocks():
             yield z @ coefficients, multiplicities
+            del coefficients  # before the next block is built
 
     # a batch that builds the coefficients anew is as large as a block, so
     # that each build serves as many draws as that memory allows

@@ -28,7 +28,7 @@ import numpy as np
 
 from .datagen import ScenarioConfig, generate
 from .kernels import FAMILIES, KernelSpec
-from .permutation import _check_alpha, _sequential_rejections
+from .permutation import PermutationPlan, _check_alpha, _sequential_rejections
 from .statistic import LabeledSample, _check_integers, _check_magnitude, kernel_matrix_stack
 
 
@@ -127,7 +127,7 @@ def multi_kernel_rejections(
     kernels sharing the same S-1 random permutations. Masks are drawn only
     until every decision is fixed; each is the one of all S masks."""
     reject = _sequential_rejections(kernel_matrix_stack(sample, kernels), sample.n, sample.m,
-                                    alpha, permutations, seed)
+                                    alpha, PermutationPlan(count=permutations, seed=seed))
     return {spec.label: bool(r) for spec, r in zip(kernels, reject)}
 
 

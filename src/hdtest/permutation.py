@@ -10,12 +10,14 @@ statistic is its own entry of the distribution and the p-value is valid and
 >= 1/S. :func:`decide` is the one decision rule: it rejects when at most
 floor(alpha S) statistics reach the observed one.
 
-:func:`permutation_test` evaluates all S masks: its p-value is that count
-over S, and it reports the quantile, :func:`critical_value`. A study keeps
-only the decisions, and :func:`_sequential_rejections` takes ``decide``'s
-count chunk by chunk, only until each kernel's decision is fixed. The limit
-Monte Carlo takes it block by block with :func:`_block_rejections`, each
-distinct relabelling counted as often as it occurs among the masks.
+Every plan's masks are evaluated in the chunks of :func:`_plan_chunks`.
+:func:`permutation_test` evaluates them all and keeps only the S statistics:
+its p-value is that count over S, and it reports the quantile,
+:func:`critical_value`. A study keeps only the decisions, and
+:func:`_sequential_rejections` takes ``decide``'s count chunk by chunk, only
+until each kernel's decision is fixed. The limit Monte Carlo takes it block
+by block with :func:`_block_rejections`, each distinct relabelling counted
+as often as it occurs among the masks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .kernels import KernelSpec
 from .statistic import (LabeledSample, _bitwise_rows, _check_integers, _coefficient,
-                        _quadratic_forms, _u_centred, kernel_matrix_stack, masked_statistics)
+                        _quadratic_forms, _u_centred, kernel_matrix_stack)
 
 #: exact enumeration builds at most this many group-X masks
 EXACT_MASK_CAP = 100_000
@@ -109,6 +111,17 @@ def plan_masks(plan: PermutationPlan, n: int, m: int) -> np.ndarray:
     return exact_masks(n, m)
 
 
+def _plan_chunks(plan: PermutationPlan, n: int, m: int):
+    """The rows of :func:`plan_masks` in near-equal consecutive chunks of at
+    least :func:`_bitwise_rows` rows (one if there are fewer), whose statistics
+    are one call's over all S bit for bit. The plan is checked at once."""
+    rows = _bitwise_rows(n + m)
+    if plan.mode == "monte-carlo":
+        return _mask_chunks(n, m, plan.count, plan.seed, max(1, plan.count // rows))
+    masks = plan_masks(plan, n, m)
+    return np.array_split(masks, max(1, len(masks) // rows))
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
@@ -151,32 +164,27 @@ def critical_value(stats: np.ndarray, alpha: float):
 
 
 def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
-                           count: int, seed: int) -> np.ndarray:
-    """``decide(masked_statistics(values, n, m, sample_masks(n, m, count,
-    seed)), alpha)[1]`` for a (K, n+m, n+m) stack ``values``, drawing and
-    evaluating the masks only until every decision is fixed.
-
-    This is ``decide``'s count, taken chunk by chunk: a kernel rejects iff
-    at most k = floor(alpha S) statistics reach the observed one, column 0,
-    so it accepts once k+1 evaluated statistics reach it and rejects once
-    S-k fall below it. That is Besag and Clifford's (1991) sequential rule
-    with S and the decision unchanged. The masks come in near-equal chunks
-    of at least :func:`_bitwise_rows` rows, whose statistics are those of
-    one call over all S masks bit for bit, so not even a near-tie can decide
-    differently. A decided kernel leaves the stack with its count final:
-    more than k if it accepts, at most seen-(S-k) <= k if it rejects. No
-    chunk is drawn once none is left.
+                           plan: PermutationPlan) -> np.ndarray:
+    """``decide``'s rejections over ``plan``'s S masks for a (K, n+m, n+m)
+    stack ``values``, evaluating its :func:`_plan_chunks` only until every
+    decision is fixed: a kernel rejects iff at most k = floor(alpha S)
+    statistics reach the observed one, column 0, so it accepts once k+1
+    evaluated statistics reach it and rejects once S-k fall below it. That
+    is Besag and Clifford's (1991) sequential rule with S and the decision
+    unchanged; a chunk's statistics are one call's over all S bit for bit,
+    so not even a near-tie can decide differently. A decided kernel leaves
+    the stack with its count final: more than k if it accepts, at most
+    seen-(S-k) <= k if it rejects. No chunk is drawn once none is left.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    chunks = _plan_chunks(plan, n, m)
+    count = plan.count if plan.mode == "monte-carlo" else math.comb(n + m, n)
     k = _tail_size(alpha, count)
     # masked_statistics with the centring and its coefficient done once
     values, coefficient = _u_centred(values), _coefficient(n, m)
-    chunks = max(1, count // _bitwise_rows(n + m))
     live = np.arange(len(values))
     reached = np.zeros(len(values), dtype=np.intp)
     seen = 0
-    for masks in _mask_chunks(n, m, count, seed, chunks):
+    for masks in chunks:
         stats = coefficient * _quadratic_forms(values, masks)
         if seen == 0:
             observed = stats[:, :1]
@@ -196,20 +204,13 @@ def _block_rejections(blocks, alpha: float, size: int) -> np.ndarray:
     many of the S as its multiplicity says; column 0 of the first block is
     the observed one. The count is taken block by block."""
     k = _tail_size(alpha, size)
-    reached = 0
-    for i, (stats, counts) in enumerate(blocks):
-        if i == 0:
+    reached, observed = 0, None
+    for stats, counts in blocks:
+        if observed is None:
             observed = stats[:, :1].copy()
         reached = reached + _reached(stats, observed, counts)
+        del stats  # before the next block is built
     return reached <= k
-
-
-def _w_histogram(masks: np.ndarray, n: int, m: int, plan: PermutationPlan) -> dict:
-    # permutations per class w, the number of first-block positions not
-    # keeping an X label: n!*m! per exact-mode mask, one per drawn mask
-    per_mask = math.factorial(n) * math.factorial(m) if plan.mode == "exact" else 1
-    uniq, cnt = np.unique(n - masks[:, :n].sum(axis=1), return_counts=True)
-    return {int(w): int(c) * per_mask for w, c in zip(uniq, cnt)}
 
 
 def permutation_test(
@@ -224,10 +225,19 @@ def permutation_test(
     _check_alpha(alpha)
     if plan is None:
         plan = PermutationPlan()
-    masks = plan_masks(plan, sample.n, sample.m)
-    values = kernel_matrix_stack(sample, (spec,))[0]
-    stats = masked_statistics(values, sample.n, sample.m, masks)
+    n, m = sample.n, sample.m
+    chunks = _plan_chunks(plan, n, m)
+    values, coefficient = _u_centred(kernel_matrix_stack(sample, (spec,))[0]), _coefficient(n, m)
+    stats, classes = [], 0
+    for masks in chunks:
+        # adding 0.0 turns the -0.0 of a zero form into 0.0
+        stats.append(coefficient * _quadratic_forms(values, masks) + 0.0)
+        # class w: how many of the first n positions lose their X label
+        classes = classes + np.bincount(n - masks[:, :n].sum(axis=1), minlength=n + 1)
+    stats = np.concatenate(stats)
     reached, reject = decide(stats, alpha)
+    # permutations per mask: n!*m! per exact-mode mask, one per drawn mask
+    per_mask = math.factorial(n) * math.factorial(m) if plan.mode == "exact" else 1
     return TestResult(
         statistic=float(stats[0]),
         critical_value=float(critical_value(stats, alpha)),
@@ -235,5 +245,5 @@ def permutation_test(
         reject=bool(reject),
         alpha=alpha,
         plan=plan,
-        w_histogram=_w_histogram(masks, sample.n, sample.m, plan),
+        w_histogram={w: int(c) * per_mask for w, c in enumerate(classes) if c},
     )

@@ -546,8 +546,9 @@ class TestBatchedLimitMC:
     def test_batches_bound_memory(self):
         # a large exact plan, whose coefficients take several blocks, and a
         # large-N Monte Carlo plan, whose batches hold few draws; the bound,
-        # five arrays of a block's entries, was fixed before measuring
-        bound = 5 * 8 * asymptotics._BLOCK_ENTRIES
+        # three and a half arrays of a block's entries, was fixed before
+        # measuring
+        bound = 3.5 * 8 * asymptotics._BLOCK_ENTRIES
         for gp, plan in ((GaussianProcessSpec(7, 9, 1.0, 1.0, 1.0), PermutationPlan(mode="exact")),
                          (GaussianProcessSpec(60, 60, 1.0, 1.0, 1.0), PermutationPlan(count=300))):
             tracemalloc.start()

@@ -118,6 +118,33 @@ def test_one_sampler_and_one_rule():
     assert found == []
 
 
+def _called_names(trees) -> dict:
+    """The names each function of the package calls, keyed
+    ``<module>.<function>``; a nested function's calls count for it and for
+    the functions around it."""
+    return {
+        f"{module}.{func.name}": {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(func) if isinstance(node, ast.Call)
+        }
+        for module, tree in trees.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+    }
+
+
+def test_one_chunk_source():
+    """Every plan's masks are evaluated in the chunks of
+    ``permutation._plan_chunks``: only it and ``sample_masks`` draw
+    ``_mask_chunks``, and ``permutation_test`` neither builds all S masks at
+    once nor evaluates them in one call."""
+    called = _called_names(_trees())
+    assert {name for name, calls in called.items() if "_mask_chunks" in calls} == {
+        "permutation.sample_masks", "permutation._plan_chunks"}
+    assert called["permutation.permutation_test"] & {"plan_masks", "masked_statistics"} == set()
+    assert "_plan_chunks" in called["permutation.permutation_test"]
+
+
 #: the one scipy module the package imports, for ``pdist``/``squareform``
 SCIPY_DISTANCES = "scipy.spatial.distance"
 

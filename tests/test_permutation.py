@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations as iter_permutations
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdtest import statistic
+from hdtest import permutation, statistic
 from hdtest.datagen import ScenarioConfig, generate
 from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.permutation import (
     PermutationPlan,
-    _mask_chunks,
+    _plan_chunks,
     _sequential_rejections,
     critical_value,
     decide,
@@ -140,26 +141,23 @@ class TestMasks:
 
 
 class TestMaskChunks:
-    """A study's chunks of masks, each evaluated on its own, give the masks
+    """A plan's chunks of masks, each evaluated on its own, give the masks
     and the statistics of one call over all S masks bit for bit, and the
     decisions of ``decide`` over them. Chunks smaller than a BLAS's
     small-matrix size would round differently; on a BLAS whose size differs
     from OpenBLAS's these cases fail."""
 
-    @pytest.mark.parametrize("n, m, count", [
-        (50, 50, 1000), (45, 55, 1000), (20, 20, 2000), (15, 25, 2000),
-    ])
-    @pytest.mark.parametrize("shift", [0.0, 0.4])
-    def test_chunks_equal_one_call(self, n, m, count, shift):
+    @staticmethod
+    def _check_chunks(n, m, plan, shift):
         rng = np.random.default_rng(n * m)
         data = rng.standard_normal((n + m, 30))
         data[n:] += shift
         kernels = tuple(KernelSpec(f) for f in FAMILIES)
         values = kernel_matrix_stack(LabeledSample(data, n, m), kernels)
-        chunks = list(_mask_chunks(n, m, count, 11, max(1, count // _bitwise_rows(n + m))))
+        chunks = list(_plan_chunks(plan, n, m))
         assert len(chunks) > 1
         assert min(map(len, chunks)) >= _bitwise_rows(n + m)
-        masks = sample_masks(n, m, count, 11)
+        masks = plan_masks(plan, n, m)
         assert np.array_equal(np.concatenate(chunks), masks)
         stats = masked_statistics(values, n, m, masks)
         start = 0
@@ -171,13 +169,41 @@ class TestMaskChunks:
                                   stats[1::2, start:stop])
             start = stop
         for alpha in (0.01, 0.05, 0.1):
-            assert np.array_equal(_sequential_rejections(values, n, m, alpha, count, 11),
+            assert np.array_equal(_sequential_rejections(values, n, m, alpha, plan),
                                   decide(stats, alpha)[1])
 
+    @pytest.mark.parametrize("n, m, count", [
+        (50, 50, 1000), (45, 55, 1000), (20, 20, 2000), (15, 25, 2000),
+    ])
+    @pytest.mark.parametrize("shift", [0.0, 0.4])
+    def test_chunks_equal_one_call(self, n, m, count, shift):
+        self._check_chunks(n, m, PermutationPlan(count=count, seed=11), shift)
+
+    @pytest.mark.parametrize("n, m", [(8, 8), (7, 9)])
+    @pytest.mark.parametrize("shift", [0.0, 0.4])
+    def test_exact_chunks_equal_one_call(self, n, m, shift):
+        # 12 870 and 11 440 masks, in 3 and 2 chunks
+        self._check_chunks(n, m, PermutationPlan(mode="exact"), shift)
+
     def test_count_must_be_positive(self):
-        values = np.zeros((1, 4, 4))
+        # a plan of no masks is refused when it is made, before any chunk
         with pytest.raises(ValueError, match="count must be positive"):
-            _sequential_rejections(values, 2, 2, 0.05, 0, 1)
+            PermutationPlan(count=0)
+
+    def test_large_plan_bounds_memory(self):
+        # all S masks at once would hold four arrays of S x N entries (over
+        # 300 MiB here); in chunks the peak is one chunk's temporaries and
+        # the S statistics. The bound was fixed before measuring
+        sample = LabeledSample(np.random.default_rng(4).standard_normal((200, 5)), 100, 100)
+        tracemalloc.start()
+        try:
+            res = permutation_test(sample, KernelSpec("l2"),
+                                   plan=PermutationPlan(count=100_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(res.w_histogram.values()) == 100_000
+        assert peak <= 16 * 2**20
 
 
 class TestRandomizationDistribution:
@@ -216,10 +242,14 @@ class TestRandomizationDistribution:
         np.testing.assert_array_equal(d1, d2)
         assert d1.size * mult == 64
 
-    def test_exact_cap_enforced(self):
-        # C(20, 10) = 184756 masks exceed the cap
+    def test_exact_cap_enforced(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a kernel matrix was built before the plan was checked")
+
+        # C(20, 10) = 184756 masks exceed the cap, refused before any distance
         rng = np.random.default_rng(14)
         s = LabeledSample(rng.standard_normal((20, 2)), 10, 10)
+        monkeypatch.setattr(permutation, "kernel_matrix_stack", no_build)
         with pytest.raises(ValueError, match="exact enumeration"):
             permutation_test(s, KernelSpec("l1"), plan=PermutationPlan(mode="exact"))
 
