@@ -12,8 +12,8 @@ under a batch of group-X masks as one U-centred quadratic form: the one
 path to permuted statistics, which the test and the studies take chunk by
 chunk with the centring done once (see :mod:`hdtest.permutation`). The
 diagnostics' mean and variance gaps are its forms over the double-centred
-squared distances. The limit formulas and
-the limit Monte Carlo of :mod:`hdtest.asymptotics` sum :func:`pair_weights` too.
+squared distances. The limit formulas and the limit Monte Carlo of
+:mod:`hdtest.asymptotics` sum :func:`pair_weights` too.
 """
 
 from __future__ import annotations
