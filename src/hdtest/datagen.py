@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _check_reals
 from .statistic import LabeledSample, _check_integers
 
 EXAMPLES = ("1", "2i", "2ii", "2iii", "3i", "3ii", "4i", "4ii")
@@ -36,6 +37,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_integers(p=self.p, n=self.n, m=self.m, v_seed=self.v_seed, seed=self.seed)
+        _check_reals(rho=self.rho, beta=self.beta)
         if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}")
         if self.p < 1:

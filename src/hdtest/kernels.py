@@ -31,6 +31,14 @@ FAMILIES = ("l2", "l1", "gaussian", "laplacian")
 _SQUARED_PSI = ("l2", "gaussian", "laplacian")
 
 
+def _check_reals(**fields) -> None:
+    """Refuse, naming its field, any value that is not a real number; a bool
+    is not one, nor is a string such as "0.5" that a JSON config may hold."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Immutable choice of kernel family plus bandwidth.
@@ -49,9 +57,8 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
+        _check_reals(gamma=self.gamma)
         if self.family in ("gaussian", "laplacian"):
-            if not isinstance(self.gamma, numbers.Real):
-                raise TypeError(f"bandwidth must be a number, got {self.gamma!r}")
             try:
                 gamma = float(self.gamma)
             except OverflowError:  # an integer beyond the float range, as from JSON

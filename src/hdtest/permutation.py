@@ -2,15 +2,17 @@
 
 The statistic only depends on which positions receive an X label, so the
 (n+m)! permutations of the pooled rows give C(n+m, n) distinct values, each
-shared by n!*m! permutations. Exact mode walks those C(n+m, n) group-X
-masks; Monte Carlo mode draws S-1 uniform relabellings after the identity,
-one stream whether drawn at once (:func:`sample_masks`) or in chunks.
-:func:`plan_masks` puts the identity in row 0 in both modes, so the observed
-statistic is its own entry of the distribution and the p-value is valid and
->= 1/S. :func:`decide` is the one decision rule: it rejects when at most
-floor(alpha S) statistics reach the observed one.
+shared by n!*m! permutations. Exact mode walks those S = C(n+m, n) group-X
+masks in lexicographic order; Monte Carlo mode draws S-1 uniform
+relabellings after the identity, one stream whether drawn at once
+(:func:`sample_masks`) or in chunks. Both put the identity in row 0, so the
+observed statistic is its own entry of the distribution and the p-value is
+valid and >= 1/S. :func:`decide` is the one decision rule: it rejects when
+at most floor(alpha S) statistics reach the observed one.
 
-Every plan's masks are evaluated in the chunks of :func:`_plan_chunks`.
+:func:`_plan_chunks` states a plan's S and is its one source of masks, chunk
+by chunk, so an exact plan is never held whole; :func:`plan_masks` gives
+all its rows at once. Every plan's masks are evaluated in those chunks.
 :func:`permutation_test` evaluates them all and keeps only the S statistics:
 its p-value is that count over S, and it reports the quantile,
 :func:`critical_value`. A study keeps only the decisions, and
@@ -63,19 +65,6 @@ class TestResult:
     w_histogram: dict = field(default_factory=dict)
 
 
-def exact_masks(n: int, m: int) -> np.ndarray:
-    """All distinct group-X masks, a (C(n+m, n), n+m) boolean array in
-    lexicographic order of their X positions."""
-    total = n + m
-    rows = math.comb(total, n)
-    x_positions = np.fromiter(
-        chain.from_iterable(combinations(range(total), n)), dtype=np.intp, count=rows * n
-    ).reshape(rows, n)
-    masks = np.zeros((rows, total), dtype=bool)
-    np.put_along_axis(masks, x_positions, True, axis=1)
-    return masks
-
-
 def _mask_chunks(n: int, m: int, count: int, seed: int, chunks: int):
     """The rows of :func:`sample_masks` in ``chunks`` consecutive near-equal
     blocks, each drawn when it is asked for.
@@ -98,28 +87,43 @@ def sample_masks(n: int, m: int, count: int, seed: int) -> np.ndarray:
     return next(_mask_chunks(n, m, count, seed, 1))
 
 
-def plan_masks(plan: PermutationPlan, n: int, m: int) -> np.ndarray:
-    """The group-X masks a plan evaluates, identity in row 0."""
+def _exact_chunks(n: int, m: int, size: int, chunks: int):
+    """The ``size`` = C(n+m, n) group-X masks, in lexicographic order of their
+    X positions, in ``chunks`` consecutive near-equal blocks, each built when
+    it is asked for; row 0 is the identity."""
+    positions = chain.from_iterable(combinations(range(n + m), n))
+    for i in range(chunks):
+        rows = size * (i + 1) // chunks - size * i // chunks
+        masks = np.zeros((rows, n + m), dtype=bool)
+        x_positions = np.fromiter(positions, dtype=np.intp, count=rows * n)
+        np.put_along_axis(masks, x_positions.reshape(rows, n), True, axis=1)
+        yield masks
+
+
+def _plan_chunks(plan: PermutationPlan, n: int, m: int):
+    """(S, chunks): the plan's size and its masks, identity in row 0, in
+    near-equal consecutive chunks of at least :func:`_bitwise_rows` rows (one
+    if there are fewer), each drawn or built when it is asked for, whose
+    statistics are one call's over all S bit for bit. The plan is checked at
+    once."""
+    rows = _bitwise_rows(n + m)
     if plan.mode == "monte-carlo":
-        return sample_masks(n, m, plan.count, plan.seed)
+        return plan.count, _mask_chunks(n, m, plan.count, plan.seed, max(1, plan.count // rows))
     size = math.comb(n + m, n)
     if size > EXACT_MASK_CAP:
         raise ValueError(
             f"exact enumeration needs C(n+m, n) = {size} masks, "
             f"more than {EXACT_MASK_CAP}; use monte-carlo mode instead"
         )
-    return exact_masks(n, m)
+    return size, _exact_chunks(n, m, size, max(1, size // rows))
 
 
-def _plan_chunks(plan: PermutationPlan, n: int, m: int):
-    """The rows of :func:`plan_masks` in near-equal consecutive chunks of at
-    least :func:`_bitwise_rows` rows (one if there are fewer), whose statistics
-    are one call's over all S bit for bit. The plan is checked at once."""
-    rows = _bitwise_rows(n + m)
+def plan_masks(plan: PermutationPlan, n: int, m: int) -> np.ndarray:
+    """The group-X masks a plan evaluates, identity in row 0: its chunks
+    joined, a Monte Carlo plan's drawn at once by :func:`sample_masks`."""
     if plan.mode == "monte-carlo":
-        return _mask_chunks(n, m, plan.count, plan.seed, max(1, plan.count // rows))
-    masks = plan_masks(plan, n, m)
-    return np.array_split(masks, max(1, len(masks) // rows))
+        return sample_masks(n, m, plan.count, plan.seed)
+    return np.concatenate(list(_plan_chunks(plan, n, m)[1]))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -176,8 +180,7 @@ def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
     the stack with its count final: more than k if it accepts, at most
     seen-(S-k) <= k if it rejects. No chunk is drawn once none is left.
     """
-    chunks = _plan_chunks(plan, n, m)
-    count = plan.count if plan.mode == "monte-carlo" else math.comb(n + m, n)
+    count, chunks = _plan_chunks(plan, n, m)
     k = _tail_size(alpha, count)
     # masked_statistics with the centring and its coefficient done once
     values, coefficient = _u_centred(values), _coefficient(n, m)
@@ -226,7 +229,7 @@ def permutation_test(
     if plan is None:
         plan = PermutationPlan()
     n, m = sample.n, sample.m
-    chunks = _plan_chunks(plan, n, m)
+    size, chunks = _plan_chunks(plan, n, m)
     values, coefficient = _u_centred(kernel_matrix_stack(sample, (spec,))[0]), _coefficient(n, m)
     stats, classes = [], 0
     for masks in chunks:
@@ -241,7 +244,7 @@ def permutation_test(
     return TestResult(
         statistic=float(stats[0]),
         critical_value=float(critical_value(stats, alpha)),
-        p_value=int(reached) / stats.size,
+        p_value=int(reached) / size,
         reject=bool(reject),
         alpha=alpha,
         plan=plan,

@@ -20,8 +20,7 @@ from hdtest.asymptotics import (
     sigma2_nw,
 )
 from hdtest.kernels import FAMILIES, KernelSpec, phi, phi_prime
-from hdtest.permutation import (PermutationPlan, _block_rejections, exact_masks, plan_masks,
-                                sample_masks)
+from hdtest.permutation import PermutationPlan, _block_rejections, plan_masks, sample_masks
 from hdtest.statistic import masked_statistics, pair_weights
 from tests.reference import (
     gamma,
@@ -196,7 +195,7 @@ def test_limit_formulas_count_the_engines_pairs():
     spec = KernelSpec("l1")
     for n in range(2, 7):
         for m in range(2, 7):
-            masks = exact_masks(n, m)
+            masks = plan_masks(PermutationPlan(mode="exact"), n, m)
             w = n - masks[:, :n].sum(axis=1)
             support = range(min(n, m) + 1)
             blocks = _block_indicators(n, m)
@@ -564,7 +563,7 @@ class TestBatchedLimitMC:
         # one relabelling, evaluated once and counted with its multiplicity,
         # so the exact 3 x 3 identity counts twice and never rejects
         n = 3
-        masks = exact_masks(n, n)
+        masks = plan_masks(PermutationPlan(mode="exact"), n, n)
         distinct, counts = asymptotics._distinct_relabellings(masks)
         assert len(distinct) == 10 and np.all(counts == 2)
         assert np.array_equal(distinct[0], masks[0])

@@ -310,6 +310,9 @@ class TestConfigBoundary:
         ({"scenarios": [SCENARIO], "seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"scenarios": [SCENARIO], "seed": 2.0}, "seed must be an integer, got 2.0"),
         ({"scenarios": [{**SCENARIO, "n": 5.0}]}, "n must be an integer, got 5.0"),
+        ({"scenarios": [SCENARIO], "kernels": [{"family": "gaussian", "gamma": True}]},
+         "gamma must be a real number, got True"),
+        ({"scenarios": [{**SCENARIO, "rho": "0.5"}]}, "rho must be a real number, got '0.5'"),
     ])
     def test_bad_study_config_names_the_file(self, tmp_path, doc, message):
         path = tmp_path / "study.json"
@@ -332,6 +335,8 @@ class TestConfigBoundary:
         ({**SCENARIO, "n": 5.0}, "n must be an integer, got 5.0"),
         ({**SCENARIO, "p": True}, "p must be an integer, got True"),
         ({**SCENARIO, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({**SCENARIO, "beta": True}, "beta must be a real number, got True"),
+        ({**SCENARIO, "rho": "0.5"}, "rho must be a real number, got '0.5'"),
     ])
     def test_bad_scenario_config_names_file_and_key(self, tmp_path, doc, message):
         path = tmp_path / "scen.json"

@@ -32,6 +32,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
             ScenarioConfig(example="1", p=10, n=5, m=5, **{field: -1})
 
+    @pytest.mark.parametrize("field", ["rho", "beta"])
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_real_fields_refuse_bools_and_non_numbers(self, field, value):
+        # a JSON true would otherwise run as 1, and a string fail deep inside
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got {value!r}$"):
+            ScenarioConfig(example="1", p=10, n=5, m=5, **{field: value})
+
     def test_label(self):
         cfg = ScenarioConfig(example="2ii", p=10, n=5, m=6, beta=0.25, seed=4)
         assert cfg.label == "ex2ii:p=10,n=5,m=6,beta=0.25,rho=0.5,innov=normal,v=ones"

@@ -10,7 +10,7 @@ from hdtest import diagnostics
 from hdtest.datagen import EXAMPLES, ScenarioConfig, ar_correlation, generate
 from hdtest.diagnostics import diagnose, discrepancy_report, estimate_moment_constants
 from hdtest.kernels import FAMILIES, KernelSpec
-from hdtest.permutation import decide, exact_masks
+from hdtest.permutation import PermutationPlan, decide, plan_masks
 from hdtest.statistic import LabeledSample, build_kernel_matrix, ed_statistic, psibar_matrix
 from tests.reference import (
     analytic_vxy_quadratic,
@@ -273,7 +273,7 @@ class TestDiscrepancyReport:
     def test_complements_tie_exactly(self, monkeypatch, n):
         # for n = m a grouping and its complement are the same split, so all
         # C(2n, n) exact masks come in pairs whose gaps must be bitwise equal
-        masks = exact_masks(n, n)
+        masks = plan_masks(PermutationPlan(mode="exact"), n, n)
         complement = {row.tobytes(): i for i, row in enumerate(~masks)}
         partner = [complement[row.tobytes()] for row in masks]
         seen = []

@@ -31,8 +31,15 @@ class TestKernelSpec:
 
     def test_non_numeric_bandwidth_rejected(self):
         # float() would take the string, and phi would then fail on it
-        with pytest.raises(TypeError, match="bandwidth must be a number, got '0.5'"):
+        with pytest.raises(TypeError, match="^gamma must be a real number, got '0.5'$"):
             KernelSpec("gaussian", gamma="0.5")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("gamma", [True, False, None, "1"])
+    def test_bool_or_non_number_bandwidth_refused(self, family, gamma):
+        # a JSON true would otherwise run as gamma = 1, whatever the family
+        with pytest.raises(TypeError, match=f"^gamma must be a real number, got {gamma!r}$"):
+            KernelSpec(family, gamma=gamma)
 
     @pytest.mark.parametrize("family", ["gaussian", "laplacian"])
     @pytest.mark.parametrize("gamma", [1e200, 1e154, 1e-155, 1e-160])

@@ -136,11 +136,20 @@ def _called_names(trees) -> dict:
 def test_one_chunk_source():
     """Every plan's masks are evaluated in the chunks of
     ``permutation._plan_chunks``: only it and ``sample_masks`` draw
-    ``_mask_chunks``, and ``permutation_test`` neither builds all S masks at
+    ``_mask_chunks``; only the exact chunk source enumerates ``combinations``
+    and only ``_plan_chunks`` calls it; ``_plan_chunks`` alone states a
+    plan's size S; and ``permutation_test`` neither builds all S masks at
     once nor evaluates them in one call."""
     called = _called_names(_trees())
-    assert {name for name, calls in called.items() if "_mask_chunks" in calls} == {
-        "permutation.sample_masks", "permutation._plan_chunks"}
+
+    def callers(name):
+        return {caller for caller, calls in called.items() if name in calls}
+
+    assert callers("_mask_chunks") == {"permutation.sample_masks", "permutation._plan_chunks"}
+    assert callers("combinations") == {"permutation._exact_chunks"}
+    assert callers("_exact_chunks") == {"permutation._plan_chunks"}
+    assert {caller for caller in callers("comb") if caller.startswith("permutation.")} == {
+        "permutation._plan_chunks"}
     assert called["permutation.permutation_test"] & {"plan_masks", "masked_statistics"} == set()
     assert "_plan_chunks" in called["permutation.permutation_test"]
 

@@ -16,7 +16,6 @@ from hdtest.permutation import (
     _sequential_rejections,
     critical_value,
     decide,
-    exact_masks,
     permutation_test,
     plan_masks,
     sample_masks,
@@ -99,7 +98,7 @@ class TestPermutationPlan:
 
 class TestMasks:
     def test_exact_masks_cover_all_subsets(self):
-        masks = exact_masks(3, 2)
+        masks = plan_masks(PermutationPlan(mode="exact"), 3, 2)
         assert masks.shape == (math.comb(5, 3), 5)
         assert masks.sum(axis=1).tolist() == [3] * masks.shape[0]
         assert len({tuple(r) for r in masks.tolist()}) == masks.shape[0]
@@ -137,7 +136,8 @@ class TestMasks:
     @given(st.integers(1, 13).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 14 - n))))
     def test_exact_masks_match_combinations_loop(self, sizes):
         n, m = sizes
-        np.testing.assert_array_equal(exact_masks(n, m), exact_masks_loop(n, m))
+        np.testing.assert_array_equal(plan_masks(PermutationPlan(mode="exact"), n, m),
+                                      exact_masks_loop(n, m))
 
 
 class TestMaskChunks:
@@ -154,11 +154,14 @@ class TestMaskChunks:
         data[n:] += shift
         kernels = tuple(KernelSpec(f) for f in FAMILIES)
         values = kernel_matrix_stack(LabeledSample(data, n, m), kernels)
-        chunks = list(_plan_chunks(plan, n, m))
+        size, chunks = _plan_chunks(plan, n, m)
+        chunks = list(chunks)
         assert len(chunks) > 1
         assert min(map(len, chunks)) >= _bitwise_rows(n + m)
-        masks = plan_masks(plan, n, m)
-        assert np.array_equal(np.concatenate(chunks), masks)
+        # the chunks joined are the masks of an independent one-row-at-a-time loop
+        masks = (exact_masks_loop(n, m) if plan.mode == "exact"
+                 else sample_masks_loop(n, m, plan.count, plan.seed))
+        assert np.array_equal(np.concatenate(chunks), masks) and size == len(masks)
         stats = masked_statistics(values, n, m, masks)
         start = 0
         for block in chunks:
@@ -203,6 +206,21 @@ class TestMaskChunks:
         finally:
             tracemalloc.stop()
         assert sum(res.w_histogram.values()) == 100_000
+        assert peak <= 16 * 2**20
+
+    def test_large_exact_plan_bounds_memory(self):
+        # C(447, 2) = 99 681 exact masks are built chunk by chunk too, not as
+        # one S x N array (over 40 MiB here); the bound is the Monte Carlo one
+        n, m = 2, 445
+        sample = LabeledSample(np.random.default_rng(5).standard_normal((n + m, 5)), n, m)
+        tracemalloc.start()
+        try:
+            res = permutation_test(sample, KernelSpec("l2"), plan=PermutationPlan(mode="exact"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(res.w_histogram.values()) == math.factorial(n + m)
+        assert res.p_value >= 1 / math.comb(n + m, n)
         assert peak <= 16 * 2**20
 
 

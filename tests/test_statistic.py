@@ -7,7 +7,7 @@ from scipy.spatial.distance import pdist, squareform
 from hdtest import statistic
 from hdtest.datagen import ScenarioConfig, generate
 from hdtest.kernels import FAMILIES, KernelSpec
-from hdtest.permutation import exact_masks, sample_masks
+from hdtest.permutation import PermutationPlan, plan_masks, sample_masks
 from hdtest.statistic import (
     KernelMatrix,
     LabeledSample,
@@ -28,6 +28,8 @@ from tests.reference import (
 from tests.strategies import awkward_data
 
 
+#: every group-X mask, for checks over a whole exact plan
+_EXACT = PermutationPlan(mode="exact")
 _KERNELS = tuple(KernelSpec(f) for f in FAMILIES)
 
 
@@ -270,7 +272,7 @@ class TestMaskedStatistics:
             ).values
             for k in range(6)
         ])
-        for masks in (exact_masks(n, m), sample_masks(n, m, 40, n + m)):
+        for masks in (plan_masks(_EXACT, n, m), sample_masks(n, m, 40, n + m)):
             stats = masked_statistics(stack, n, m, masks)
             assert stats.shape == (len(stack), len(masks))
             assert np.array_equal(stats[2], masked_statistics(stack[2], n, m, masks))
@@ -281,7 +283,7 @@ class TestMaskedStatistics:
         # the U-centred quadratic form against the uncentred pair-sum formula,
         # on every exact mask, at 1e-12 of the summed absolute weighted terms
         rng = np.random.default_rng(n * 10 + m)
-        masks = exact_masks(n, m)
+        masks = plan_masks(_EXACT, n, m)
         for offset in (0.0, 1e8):
             s = LabeledSample(rng.standard_normal((n + m, 5)) + offset, n, m)
             stack = kernel_matrix_stack(s, _KERNELS)
@@ -301,7 +303,7 @@ class TestMaskedStatistics:
     def test_mask_and_complement_tie_exactly(self, n):
         rng = np.random.default_rng(n)
         s = LabeledSample(rng.standard_normal((2 * n, 4)) + 1e3, n, n)
-        masks = exact_masks(n, n)
+        masks = plan_masks(_EXACT, n, n)
         rows = {mask.tobytes(): i for i, mask in enumerate(masks)}
         complement = [rows[(~mask).tobytes()] for mask in masks]
         stats = masked_statistics(kernel_matrix_stack(s, _KERNELS), n, n, masks)
@@ -340,7 +342,7 @@ class TestKernelStatistics:
         # the stacked call is bit for bit four 2-d calls, one per family
         s = generate(ScenarioConfig("3i", p=40, n=n, m=m, beta=0.3, seed=n + m))
         kernels = tuple(KernelSpec(f, 0.7) for f in FAMILIES)
-        for masks in (exact_masks(n, m), sample_masks(n, m, 50, n * m)):
+        for masks in (plan_masks(_EXACT, n, m), sample_masks(n, m, 50, n * m)):
             stats = masked_statistics(kernel_matrix_stack(s, kernels), n, m, masks)
             assert stats.shape == (len(kernels), len(masks))
             for row, spec in zip(stats, kernels):
