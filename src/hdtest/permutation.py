@@ -30,7 +30,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _check_reals
 from .statistic import (LabeledSample, _bitwise_rows, _check_integers, _coefficient,
                         _quadratic_forms, _u_centred, kernel_matrix_stack)
 
@@ -127,6 +127,7 @@ def plan_masks(plan: PermutationPlan, n: int, m: int) -> np.ndarray:
 
 
 def _check_alpha(alpha: float) -> None:
+    _check_reals(alpha=alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
 

@@ -7,13 +7,14 @@ squared distances, is a Gram GEMM of the rows centred on row 0 (see
 :func:`psibar_matrix`: exactly symmetric, exact on integer-valued data and
 for duplicated rows); cityblock distances come from ``pdist``.
 :func:`kernel_matrix_stack` builds the (K, n+m, n+m) stack of a sample's
-kernels and :func:`masked_statistics` evaluates it, or one matrix of it,
-under a batch of group-X masks as one U-centred quadratic form: the one
-path to permuted statistics, which the test and the studies take chunk by
-chunk with the centring done once (see :mod:`hdtest.permutation`). The
-diagnostics' mean and variance gaps are its forms over the double-centred
-squared distances. The limit formulas and the limit Monte Carlo of
-:mod:`hdtest.asymptotics` sum :func:`pair_weights` too.
+kernels. Under a batch of group-X masks each statistic is one quadratic form
+of the U-centred matrix (:func:`_u_centred`, :func:`_quadratic_forms`): the
+test and the studies centre their matrices once and take the forms chunk by
+chunk (see :mod:`hdtest.permutation`), and :func:`masked_statistics`, which
+centres and scales per call, serves the diagnostics' report, whose mean and
+variance gaps are forms over the double-centred squared distances. The limit
+formulas and the limit Monte Carlo of :mod:`hdtest.asymptotics` sum
+:func:`pair_weights` too.
 """
 
 from __future__ import annotations

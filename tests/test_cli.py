@@ -313,6 +313,7 @@ class TestConfigBoundary:
         ({"scenarios": [SCENARIO], "kernels": [{"family": "gaussian", "gamma": True}]},
          "gamma must be a real number, got True"),
         ({"scenarios": [{**SCENARIO, "rho": "0.5"}]}, "rho must be a real number, got '0.5'"),
+        ({"scenarios": [SCENARIO], "alpha": "0.05"}, "alpha must be a real number, got '0.05'"),
     ])
     def test_bad_study_config_names_the_file(self, tmp_path, doc, message):
         path = tmp_path / "study.json"

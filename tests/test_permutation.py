@@ -352,6 +352,12 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             permutation_test(sample, KernelSpec("l2"), alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [True, "0.05", None])
+    def test_alpha_must_be_a_real_number(self, alpha):
+        sample = generate(ScenarioConfig("1", p=10, n=5, m=5))
+        with pytest.raises(TypeError, match=f"^alpha must be a real number, got {alpha!r}$"):
+            permutation_test(sample, KernelSpec("l2"), alpha=alpha)
+
     def test_default_plan(self):
         rng = np.random.default_rng(14)
         s = LabeledSample(rng.standard_normal((10, 4)), 5, 5)
