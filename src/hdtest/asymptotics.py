@@ -11,7 +11,8 @@ puts in each block. The mixture's normal cdf is ``0.5 * erfc(-z / sqrt(2))``
 from :mod:`math`, which keeps its relative accuracy far into the lower tail.
 The limit statistic is linear in a draw's pair values, with those same
 pair weights as coefficients, so the Monte Carlo evaluates its draws as one
-GEMM with the coefficients of each distinct relabelling.
+GEMM with the coefficients of each distinct relabelling, decided in the
+studies' chunked decision loop.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import mul
 import numpy as np
 
 from .kernels import KernelSpec, phi, phi_prime
-from .permutation import PermutationPlan, _block_rejections, _check_alpha, plan_masks
+from .permutation import PermutationPlan, _check_alpha, _sequential_rejections, plan_masks
 from .statistic import _check_integers, pair_weights
 
 
@@ -210,18 +211,16 @@ def _coefficients(masks: np.ndarray, layout, weights: np.ndarray) -> np.ndarray:
     return coefficients.T
 
 
-def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, seed: int):
-    """The limit statistics of ``draws`` draws over the distinct relabellings
-    among ``masks``: per batch of draws, an iterator of (statistics,
-    multiplicities) blocks of relabellings, the identity first.
-
-    The statistic is linear in a draw's pair values, so a block is one GEMM
-    of the batch's standard normals with the block's coefficients. A block
-    of coefficients holds at most :data:`_BLOCK_ENTRIES` entries. When they
-    all fit in one, they are built once and a batch's normals and
-    statistics hold at most :data:`_BATCH_ENTRIES`; otherwise each batch
-    builds them block by block and holds up to :data:`_BLOCK_ENTRIES`
-    (a batch is at least one draw).
+def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int):
+    """``draws`` draws of the limit statistic over the distinct relabellings
+    among ``masks`` in batches: per batch, the shape of its standard normals
+    (draws x pairs) and an iterator of (coefficients, multiplicities) blocks
+    of relabellings, the identity first, whose statistics are ``normals @
+    coefficients``. A block of coefficients holds at most
+    :data:`_BLOCK_ENTRIES` entries. When they all fit in one, they are built
+    once and a batch's normals and statistics hold at most
+    :data:`_BATCH_ENTRIES`; otherwise each batch builds them block by block
+    and holds up to :data:`_BLOCK_ENTRIES` (a batch is at least one draw).
     """
     distinct, counts = _distinct_relabellings(masks)
     layout = _pair_layout(gp)
@@ -235,18 +234,11 @@ def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int, seed:
             yield _coefficients(distinct[i : i + width], layout, weights), counts[i : i + width]
 
     built = list(coefficient_blocks()) if width == len(distinct) else None
-
-    def evaluate(z):
-        for coefficients, multiplicities in built or coefficient_blocks():
-            yield z @ coefficients, multiplicities
-            del coefficients  # before the next block is built
-
     # a batch that builds the coefficients anew is as large as a block, so
     # that each build serves as many draws as that memory allows
     size = max(1, (_BATCH_ENTRIES if built else _BLOCK_ENTRIES) // max(pairs, width))
-    rng = np.random.default_rng(seed)
     for start in range(0, draws, size):
-        yield evaluate(rng.standard_normal((min(size, draws - start), layout[2].size)))
+        yield (min(size, draws - start), layout[2].size), built or coefficient_blocks()
 
 
 def power_limit_mc(
@@ -271,12 +263,14 @@ def power_limit_mc(
     mask and its complement, are one relabelling: it is evaluated once and
     counted as often as it occurs, so they tie bit for bit and n = m exact
     plans evaluate half their masks. Draws come in batches, and each batch
-    is one GEMM of its normals with each block of coefficients, the count
-    taken block by block; a block of coefficients, a batch's normals and a
-    block's statistics each hold at most a fixed number of entries
-    (:data:`_BLOCK_ENTRIES`, :data:`_BATCH_ENTRIES`). Each statistic is a
-    dot product of the draw's normals with its coefficients, accurate to
-    its length's rounding bound in any summation order.
+    is one GEMM of its normals with each block of coefficients; a block of
+    coefficients, a batch's normals and a block's statistics each hold at
+    most a fixed number of entries (:data:`_BLOCK_ENTRIES`,
+    :data:`_BATCH_ENTRIES`). The studies' sequential rule takes the count
+    block by block, so a draw leaves its batch once its decision is fixed
+    and no block is built once none is left. Each statistic is a dot
+    product of the draw's normals with its coefficients, accurate to its
+    length's rounding bound in any summation order.
     Returns (estimate, standard error).
     """
     _check_integers(draws=draws, seed=seed)
@@ -286,9 +280,13 @@ def power_limit_mc(
         raise ValueError("seed must be >= 0")
     _check_alpha(alpha)
     masks = plan_masks(plan, gp.n, gp.m)
+    rng = np.random.default_rng(seed)
     rejections = 0
-    for blocks in _limit_batches(gp, masks, draws, seed):
-        rejections += int(np.count_nonzero(_block_rejections(blocks, alpha, len(masks))))
+    for shape, blocks in _limit_batches(gp, masks, draws):
+        # only the loop holds the normals, so narrowing them frees the rest
+        rejections += int(np.count_nonzero(_sequential_rejections(
+            rng.standard_normal(shape), blocks, lambda z, block: (z @ block[0], block[1]),
+            alpha, len(masks))))
     rate = rejections / draws
     se = math.sqrt(rate * (1.0 - rate) / draws)
     return rate, se

@@ -45,7 +45,7 @@ def _from_args(cls, args, **fixed):
 def _read_json(path: str, build):
     """``build`` of the JSON document at ``path``. A syntax error, or an
     unknown or missing key (a TypeError that names it), names the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return build(json.load(fh))
         except (json.JSONDecodeError, TypeError) as err:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .datagen import ScenarioConfig, generate
 from .kernels import FAMILIES, KernelSpec
-from .permutation import PermutationPlan, _check_alpha, _sequential_rejections
+from .permutation import PermutationPlan, _check_alpha, _kernel_rejections
 from .statistic import LabeledSample, _check_integers, _check_magnitude, kernel_matrix_stack
 
 
@@ -126,8 +126,8 @@ def multi_kernel_rejections(
     """Each kernel's decision on one dataset, keyed by its label, all
     kernels sharing the same S-1 random permutations. Masks are drawn only
     until every decision is fixed; each is the one of all S masks."""
-    reject = _sequential_rejections(kernel_matrix_stack(sample, kernels), sample.n, sample.m,
-                                    alpha, PermutationPlan(count=permutations, seed=seed))
+    reject = _kernel_rejections(kernel_matrix_stack(sample, kernels), sample.n, sample.m,
+                                alpha, PermutationPlan(count=permutations, seed=seed))
     return {spec.label: bool(r) for spec, r in zip(kernels, reject)}
 
 
@@ -249,7 +249,7 @@ def read_rows(path, delim: str, labelled: bool) -> tuple[list[str], np.ndarray]:
     are skipped; a row that is not all finite numbers, or not as wide as the
     first, is refused with its line number."""
     labels, rows = [], []
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split("#", 1)[0].strip().split(delim)
             if fields == [""]:

@@ -15,11 +15,11 @@ by chunk, so an exact plan is never held whole; :func:`plan_masks` gives
 all its rows at once. Every plan's masks are evaluated in those chunks.
 :func:`permutation_test` evaluates them all and keeps only the S statistics:
 its p-value is that count over S, and it reports the quantile,
-:func:`critical_value`. A study keeps only the decisions, and
-:func:`_sequential_rejections` takes ``decide``'s count chunk by chunk, only
-until each kernel's decision is fixed. The limit Monte Carlo takes it block
-by block with :func:`_block_rejections`, each distinct relabelling counted
-as often as it occurs among the masks.
+:func:`critical_value`. Where only decisions are kept, the one chunked
+decision loop, :func:`_sequential_rejections`, takes ``decide``'s count only
+until each row's decision is fixed: a study's kernels over chunks of masks
+(:func:`_kernel_rejections`), or the limit Monte Carlo's draws over blocks of
+distinct relabellings, each counted as often as it occurs among the masks.
 """
 
 from __future__ import annotations
@@ -168,53 +168,51 @@ def critical_value(stats: np.ndarray, alpha: float):
     return np.partition(stats, rank, axis=-1)[..., rank]
 
 
-def _sequential_rejections(values: np.ndarray, n: int, m: int, alpha: float,
-                           plan: PermutationPlan) -> np.ndarray:
-    """``decide``'s rejections over ``plan``'s S masks for a (K, n+m, n+m)
-    stack ``values``, evaluating its :func:`_plan_chunks` only until every
-    decision is fixed: a kernel rejects iff at most k = floor(alpha S)
-    statistics reach the observed one, column 0, so it accepts once k+1
-    evaluated statistics reach it and rejects once S-k fall below it. That
-    is Besag and Clifford's (1991) sequential rule with S and the decision
-    unchanged; a chunk's statistics are one call's over all S bit for bit,
-    so not even a near-tie can decide differently. A decided kernel leaves
-    the stack with its count final: more than k if it accepts, at most
-    seen-(S-k) <= k if it rejects. No chunk is drawn once none is left.
+def _sequential_rejections(rows, chunks, evaluate, alpha: float, size: int) -> np.ndarray:
+    """``decide``'s rejections for each of ``rows`` over S = ``size``
+    statistics, taken chunk by chunk only until every decision is fixed.
+    ``evaluate(rows, chunk)`` gives each row's statistics of the chunk and
+    their multiplicities (None for one each); column 0 of the first chunk is
+    the observed one. A row rejects iff at most k = floor(alpha S) reach it,
+    so it accepts once k+1 seen do and rejects once S-k fall below it
+    (Besag and Clifford 1991); a chunk's statistics are those of one
+    evaluation over all S, so every decision is too. A decided row leaves
+    ``rows``, freed unless the caller holds it, with its count final: more
+    than k, or at most seen-(S-k) <= k. No chunk follows once none is left.
     """
-    count, chunks = _plan_chunks(plan, n, m)
-    k = _tail_size(alpha, count)
-    # masked_statistics with the centring and its coefficient done once
-    values, coefficient = _u_centred(values), _coefficient(n, m)
-    live = np.arange(len(values))
-    reached = np.zeros(len(values), dtype=np.intp)
+    k = _tail_size(alpha, size)
+    live = np.arange(len(rows))
+    reached = np.zeros(len(rows), dtype=np.intp)
     seen = 0
-    for masks in chunks:
-        stats = coefficient * _quadratic_forms(values, masks)
+    for chunk in chunks:
+        stats, counts = evaluate(rows, chunk)
         if seen == 0:
-            observed = stats[:, :1]
-        reached[live] += _reached(stats, observed)
-        seen += len(masks)
-        keep = (reached[live] <= k) & (seen - reached[live] < count - k)
+            # a copy: a view would keep the first chunk's statistics alive
+            observed = stats[:, :1].copy()
+        reached[live] += _reached(stats, observed, counts)
+        seen += stats.shape[-1] if counts is None else counts.sum()
+        del chunk, stats  # before the next chunk is built
+        if seen == size:  # every row is decided
+            break
+        now = reached[live]
+        keep = (now <= k) & (seen - now < size - k)
         if not keep.all():
             if not keep.any():
                 break
-            live, values, observed = live[keep], values[keep], observed[keep]
+            live, rows, observed = live[keep], rows[keep], observed[keep]
     return reached <= k
 
 
-def _block_rejections(blocks, alpha: float, size: int) -> np.ndarray:
-    """``decide``'s rejections for rows of S = ``size`` statistics that come
-    as (statistics, multiplicities) column blocks, a column standing for as
-    many of the S as its multiplicity says; column 0 of the first block is
-    the observed one. The count is taken block by block."""
-    k = _tail_size(alpha, size)
-    reached, observed = 0, None
-    for stats, counts in blocks:
-        if observed is None:
-            observed = stats[:, :1].copy()
-        reached = reached + _reached(stats, observed, counts)
-        del stats  # before the next block is built
-    return reached <= k
+def _kernel_rejections(values: np.ndarray, n: int, m: int, alpha: float,
+                       plan: PermutationPlan) -> np.ndarray:
+    """``decide``'s rejections over ``plan``'s S masks for a (K, n+m, n+m)
+    stack: :func:`_sequential_rejections` over :func:`_plan_chunks`."""
+    count, chunks = _plan_chunks(plan, n, m)
+    # masked_statistics with the centring and its coefficient done once
+    centred, coefficient = _u_centred(values), _coefficient(n, m)
+    del values  # the uncentred stack, before any chunk
+    return _sequential_rejections(centred, chunks, lambda rows, masks: (
+        coefficient * _quadratic_forms(rows, masks), None), alpha, count)
 
 
 def permutation_test(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hdtest import asymptotics
+from hdtest import asymptotics, permutation
 from hdtest.asymptotics import (
     GaussianProcessSpec,
     MomentConstants,
@@ -20,7 +20,7 @@ from hdtest.asymptotics import (
     sigma2_nw,
 )
 from hdtest.kernels import FAMILIES, KernelSpec, phi, phi_prime
-from hdtest.permutation import PermutationPlan, _block_rejections, plan_masks, sample_masks
+from hdtest.permutation import PermutationPlan, plan_masks, sample_masks
 from hdtest.statistic import masked_statistics, pair_weights
 from tests.reference import (
     gamma,
@@ -455,16 +455,30 @@ class TestPowerLimitMC:
 
 def _engine(gp, plan, draws, seed):
     """The limit Monte Carlo's distinct relabellings of ``plan``, their
-    multiplicities, the (draws, relabellings) statistics and each draw's
-    decision at alpha 0.05, batch by batch as ``power_limit_mc`` takes them."""
+    multiplicities and the (draws, relabellings) statistics, each batch's
+    normals drawn and each block's statistics taken as ``power_limit_mc``
+    draws and builds them."""
     masks = plan_masks(plan, gp.n, gp.m)
-    stats, rejects = [], []
-    for blocks in asymptotics._limit_batches(gp, masks, draws, seed):
-        blocks = list(blocks)
-        stats.append(np.hstack([block for block, _ in blocks]))
-        rejects.append(_block_rejections(blocks, 0.05, len(masks)))
+    rng = np.random.default_rng(seed)
+    stats = []
+    for shape, blocks in asymptotics._limit_batches(gp, masks, draws):
+        z = rng.standard_normal(shape)
+        stats.append(np.hstack([z @ coefficients for coefficients, _ in blocks]))
     distinct, counts = asymptotics._distinct_relabellings(masks)
-    return distinct, counts, np.concatenate(stats), np.concatenate(rejects)
+    return distinct, counts, np.concatenate(stats)
+
+
+def _decisions(monkeypatch, gp, plan, draws, seed):
+    """``power_limit_mc``'s (estimate, standard error) and each draw's
+    decision, as its one decision loop returned them batch by batch."""
+    rejects = []
+
+    def recorded(*args):
+        rejects.append(permutation._sequential_rejections(*args))
+        return rejects[-1]
+
+    monkeypatch.setattr(asymptotics, "_sequential_rejections", recorded)
+    return power_limit_mc(gp, 0.05, plan, draws, seed=seed), np.concatenate(rejects)
 
 
 class TestBatchedLimitMC:
@@ -490,18 +504,46 @@ class TestBatchedLimitMC:
             ((10, 10, 1.0, 1.0, 1.0), PermutationPlan(count=300, seed=3), 1000, 3),
         ],
     )
-    def test_matches_per_draw_loop(self, args, plan, draws, seed):
+    def test_matches_per_draw_loop(self, monkeypatch, args, plan, draws, seed):
         gp = GaussianProcessSpec(*args)
         rate, se, loop_rejects = power_limit_mc_loop(gp, 0.05, plan, draws, seed=seed)
-        distinct, _, stats, rejects = _engine(gp, plan, draws, seed)
+        estimate, rejects = _decisions(monkeypatch, gp, plan, draws, seed)
         assert np.array_equal(rejects, loop_rejects)
-        assert power_limit_mc(gp, 0.05, plan, draws, seed=seed) == (rate, se)
+        assert estimate == (rate, se)
+        distinct, _, stats = _engine(gp, plan, draws, seed)
         # the GEMM may sum in any order: each statistic is within the bound
         # of a dot product over the P drawn pairs of the correctly rounded
         # sum of the same terms
         ref, scale = limit_statistics_fsum(gp, distinct, draws, seed)
         pairs = asymptotics._pair_layout(gp)[2].size
         assert np.all(np.abs(stats - ref) <= gamma(pairs + 2) * scale)
+
+    @pytest.mark.parametrize(
+        "args, plan, block_entries, blocks",
+        [
+            # n != m exact: 210 relabellings of 45 pairs in blocks of 22
+            ((4, 6, 2.0, 1.0, 0.5), PermutationPlan(mode="exact"), 2**10, 10),
+            # n = m exact: 35 relabellings, each counted twice, of 28 pairs in
+            # blocks of 18
+            ((4, 4, 1.0, 3.0, 0.5), PermutationPlan(mode="exact"), 2**9, 2),
+            # the 10 x 10 Monte Carlo plan of the benchmark: 300 relabellings of
+            # 190 pairs in blocks of 43
+            ((10, 10, 1.0, 1.0, 1.0), PermutationPlan(count=300, seed=3), 2**13, 7),
+        ],
+    )
+    def test_several_blocks_match_per_draw_loop(self, monkeypatch, args, plan,
+                                                block_entries, blocks):
+        # coefficients rebuilt for every batch, and draws that leave the loop
+        # once decided, before the last block
+        monkeypatch.setattr(asymptotics, "_BLOCK_ENTRIES", block_entries)
+        gp = GaussianProcessSpec(*args)
+        draws, seed = 1000, 21
+        batches = list(asymptotics._limit_batches(gp, plan_masks(plan, gp.n, gp.m), draws))
+        assert len(batches) > 1 and len(list(batches[0][1])) == blocks
+        rate, se, loop_rejects = power_limit_mc_loop(gp, 0.05, plan, draws, seed=seed)
+        estimate, rejects = _decisions(monkeypatch, gp, plan, draws, seed)
+        assert np.array_equal(rejects, loop_rejects)
+        assert estimate == (rate, se)
 
     @pytest.mark.parametrize("args, plan", [
         ((3, 4, 2.0, 1.0, 0.5), PermutationPlan(mode="exact")),
@@ -530,7 +572,7 @@ class TestBatchedLimitMC:
     def test_exact_moments_match_closed_form(self, args):
         gp = GaussianProcessSpec(*args)
         plan, draws = PermutationPlan(mode="exact"), 300
-        _, counts, stats, _ = _engine(gp, plan, draws, seed=5)
+        _, counts, stats = _engine(gp, plan, draws, seed=5)
         size = int(counts.sum())
         assert size == math.comb(gp.n + gp.m, gp.n)
         rng = np.random.default_rng(5)

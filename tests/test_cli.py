@@ -94,6 +94,25 @@ class TestGenAndTest:
         _run(capsys, ["gen", "--config", str(cfg_path), "--out", str(out_path)])
         assert np.loadtxt(out_path, delimiter=",").shape == (11, 8)
 
+    @pytest.mark.parametrize("command", ["test", "diagnose"])
+    def test_data_byte_order_mark_is_dropped(self, tmp_path, capsys, command):
+        # a file saved with a UTF-8 byte-order mark reads as the same file without
+        text = "".join(f"{i},{i * i % 7}\n" for i in range(8))
+        outs = []
+        for name, encoding in (("plain.csv", "utf-8"), ("bom.csv", "utf-8-sig")):
+            csv_path = tmp_path / name
+            csv_path.write_text(text, encoding=encoding)
+            outs.append(_run(capsys, [command, str(csv_path), "--n", "4", "--seed", "1"]))
+        assert outs[0] == outs[1]
+
+    def test_config_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scen.json"
+        cfg_path.write_text(json.dumps({"example": "1", "p": 3, "n": 2, "m": 3}),
+                            encoding="utf-8-sig")
+        out_path = tmp_path / "o.csv"
+        _run(capsys, ["gen", "--config", str(cfg_path), "--out", str(out_path)])
+        assert np.loadtxt(out_path, delimiter=",").shape == (5, 3)
+
 
 def _diagnose_csvs(tmp_path):
     """Two seeded scenario datasets as CSV files, with their group-X sizes."""

@@ -445,6 +445,14 @@ class TestLoadDelimited:
         ds = load_delimited(f, "csv")
         assert ds.classes["b"].shape == (2, 2)
 
+    def test_byte_order_mark_is_not_part_of_a_label(self, tmp_path):
+        f = tmp_path / "d.tsv"
+        f.write_text("a\t0.0\t1.0\nb\t3.0\t4.0\na\t5.0\t6.0\nb\t7.0\t8.0\n",
+                     encoding="utf-8-sig")
+        ds = load_delimited(f, "ucr-tsv")
+        assert sorted(ds.classes) == ["a", "b"]
+        np.testing.assert_array_equal(ds.classes["a"], [[0.0, 1.0], [5.0, 6.0]])
+
     def test_comments_and_blank_lines_are_skipped(self, tmp_path):
         f = tmp_path / "d.tsv"
         f.write_text("# class, then the series\n1\t0.0\t1.0  # first\n\n2\t3.0\t4.0\n"

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import hdtest
@@ -133,6 +134,12 @@ def _called_names(trees) -> dict:
     }
 
 
+def _callers(called: dict, name: str) -> set:
+    """The functions of ``called`` (see :func:`_called_names`) that call
+    ``name``."""
+    return {caller for caller, calls in called.items() if name in calls}
+
+
 def test_one_chunk_source():
     """Every plan's masks are evaluated in the chunks of
     ``permutation._plan_chunks``: only it and ``sample_masks`` draw
@@ -141,10 +148,7 @@ def test_one_chunk_source():
     plan's size S; and ``permutation_test`` neither builds all S masks at
     once nor evaluates them in one call."""
     called = _called_names(_trees())
-
-    def callers(name):
-        return {caller for caller, calls in called.items() if name in calls}
-
+    callers = partial(_callers, called)
     assert callers("_mask_chunks") == {"permutation.sample_masks", "permutation._plan_chunks"}
     assert callers("combinations") == {"permutation._exact_chunks"}
     assert callers("_exact_chunks") == {"permutation._plan_chunks"}
@@ -152,6 +156,16 @@ def test_one_chunk_source():
         "permutation._plan_chunks"}
     assert called["permutation.permutation_test"] & {"plan_masks", "masked_statistics"} == set()
     assert "_plan_chunks" in called["permutation.permutation_test"]
+
+
+def test_one_chunked_decision_loop():
+    """The studies and the limit Monte Carlo decide in one chunked loop,
+    ``permutation._sequential_rejections``: it and ``decide`` alone count the
+    statistics that reach the observed one."""
+    callers = partial(_callers, _called_names(_trees()))
+    assert callers("_reached") == {"permutation.decide", "permutation._sequential_rejections"}
+    assert callers("_sequential_rejections") == {"permutation._kernel_rejections",
+                                                 "asymptotics.power_limit_mc"}
 
 
 #: the one scipy module the package imports, for ``pdist``/``squareform``

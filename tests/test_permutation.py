@@ -12,8 +12,8 @@ from hdtest.datagen import ScenarioConfig, generate
 from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.permutation import (
     PermutationPlan,
+    _kernel_rejections,
     _plan_chunks,
-    _sequential_rejections,
     critical_value,
     decide,
     permutation_test,
@@ -172,7 +172,7 @@ class TestMaskChunks:
                                   stats[1::2, start:stop])
             start = stop
         for alpha in (0.01, 0.05, 0.1):
-            assert np.array_equal(_sequential_rejections(values, n, m, alpha, plan),
+            assert np.array_equal(_kernel_rejections(values, n, m, alpha, plan),
                                   decide(stats, alpha)[1])
 
     @pytest.mark.parametrize("n, m, count", [
