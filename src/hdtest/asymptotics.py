@@ -12,7 +12,9 @@ from :mod:`math`, which keeps its relative accuracy far into the lower tail.
 The limit statistic is linear in a draw's pair values, with those same
 pair weights as coefficients, so the Monte Carlo evaluates its draws as one
 GEMM with the coefficients of each distinct relabelling, decided in the
-studies' chunked decision loop.
+studies' chunked decision loop. The relabellings reach that loop in chunks
+whose widths start at 64 and double: most draws accept after a few dozen
+relabellings, and leave before the rest are multiplied.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import mul
 
 import numpy as np
 
-from .kernels import KernelSpec, phi, phi_prime
+from .kernels import KernelSpec, _check_reals, phi, phi_prime
 from .permutation import PermutationPlan, _check_alpha, _sequential_rejections, plan_masks
 from .statistic import _check_integers, pair_weights
 
@@ -42,6 +44,8 @@ class MomentConstants:
     v_xy: float
 
     def __post_init__(self):
+        _check_reals(e_x=self.e_x, e_y=self.e_y, e_xy=self.e_xy,
+                     v_x=self.v_x, v_y=self.v_y, v_xy=self.v_xy)
         if not all(math.isfinite(e) and e >= 0 for e in (self.e_x, self.e_y, self.e_xy)):
             raise ValueError("means must be finite and nonnegative")
         _check_variances(self.v_x, self.v_y, self.v_xy)
@@ -159,6 +163,7 @@ class GaussianProcessSpec:
 
     def __post_init__(self):
         _check_integers(n=self.n, m=self.m)
+        _check_reals(v_xy=self.v_xy, v_x=self.v_x, v_y=self.v_y)
         if self.n < 2 or self.m < 2:
             raise ValueError("need n, m >= 2")
         _check_variances(self.v_xy, self.v_x, self.v_y)
@@ -193,7 +198,9 @@ def _distinct_relabellings(masks: np.ndarray):
     masks give each. A mask and its complement (n = m) split the pairs into
     the same classes, so two masks are one relabelling when they share the
     representative with position 0 in group X."""
-    _, first, counts = np.unique(masks ^ ~masks[:, :1], axis=0,
+    # each representative packed into bytes, one key per row
+    packed = np.packbits(masks ^ ~masks[:, :1], axis=1)
+    _, first, counts = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                  return_index=True, return_counts=True)
     order = np.argsort(first)
     return masks[first[order]], counts[order]
@@ -214,12 +221,15 @@ def _coefficients(masks: np.ndarray, layout, weights: np.ndarray) -> np.ndarray:
 def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int):
     """``draws`` draws of the limit statistic over the distinct relabellings
     among ``masks`` in batches: per batch, the shape of its standard normals
-    (draws x pairs) and an iterator of (coefficients, multiplicities) blocks
-    of relabellings, the identity first, whose statistics are ``normals @
-    coefficients``. A block of coefficients holds at most
-    :data:`_BLOCK_ENTRIES` entries. When they all fit in one, they are built
-    once and a batch's normals and statistics hold at most
-    :data:`_BATCH_ENTRIES`; otherwise each batch builds them block by block
+    (draws x pairs) and an iterator of (coefficients, multiplicities) chunks
+    of consecutive relabellings, the identity first, whose statistics are
+    ``normals @ coefficients``. A block of coefficients holds at most
+    :data:`_BLOCK_ENTRIES` entries; the chunks are 64 relabellings wide at
+    first and double up to a block's width, so that draws decided early
+    leave the decision loop before the later chunks are multiplied, or
+    built. When all the coefficients fit in one block, they are built once
+    and a batch's normals and statistics hold at most
+    :data:`_BATCH_ENTRIES`; otherwise each batch builds them chunk by chunk
     and holds up to :data:`_BLOCK_ENTRIES` (a batch is at least one draw).
     """
     distinct, counts = _distinct_relabellings(masks)
@@ -229,16 +239,19 @@ def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int):
     pairs = max(1, layout[2].size)
     width = min(len(distinct), max(1, _BLOCK_ENTRIES // pairs))
 
-    def coefficient_blocks():
-        for i in range(0, len(distinct), width):
-            yield _coefficients(distinct[i : i + width], layout, weights), counts[i : i + width]
+    def coefficient_chunks():
+        start, step = 0, min(64, width)
+        while start < len(distinct):
+            stop = start + step
+            yield _coefficients(distinct[start:stop], layout, weights), counts[start:stop]
+            start, step = stop, min(2 * step, width)
 
-    built = list(coefficient_blocks()) if width == len(distinct) else None
+    built = list(coefficient_chunks()) if width == len(distinct) else None
     # a batch that builds the coefficients anew is as large as a block, so
     # that each build serves as many draws as that memory allows
     size = max(1, (_BATCH_ENTRIES if built else _BLOCK_ENTRIES) // max(pairs, width))
     for start in range(0, draws, size):
-        yield (min(size, draws - start), layout[2].size), built or coefficient_blocks()
+        yield (min(size, draws - start), layout[2].size), built or coefficient_chunks()
 
 
 def power_limit_mc(
@@ -263,12 +276,13 @@ def power_limit_mc(
     mask and its complement, are one relabelling: it is evaluated once and
     counted as often as it occurs, so they tie bit for bit and n = m exact
     plans evaluate half their masks. Draws come in batches, and each batch
-    is one GEMM of its normals with each block of coefficients; a block of
-    coefficients, a batch's normals and a block's statistics each hold at
-    most a fixed number of entries (:data:`_BLOCK_ENTRIES`,
-    :data:`_BATCH_ENTRIES`). The studies' sequential rule takes the count
-    block by block, so a draw leaves its batch once its decision is fixed
-    and no block is built once none is left. Each statistic is a dot
+    is one GEMM of its normals with each chunk of coefficients; the chunks
+    start narrow and double up to a block, and a block of coefficients, a
+    batch's normals and a block's statistics each hold at most a fixed
+    number of entries (:data:`_BLOCK_ENTRIES`, :data:`_BATCH_ENTRIES`). The
+    studies' sequential rule takes the count chunk by chunk, so a draw
+    leaves its batch once its decision is fixed, most after the first
+    chunks, and no chunk is built once none is left. Each statistic is a dot
     product of the draw's normals with its coefficients, accurate to its
     length's rounding bound in any summation order.
     Returns (estimate, standard error).

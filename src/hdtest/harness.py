@@ -38,11 +38,18 @@ def _refuse_shared_labels(labels, what: str) -> None:
         raise ValueError(f"two {what} share the label {shared[0]!r}, which keys their results")
 
 
+def _check_members(values, kind: type, what: str) -> None:
+    for value in values:
+        if not isinstance(value, kind):
+            raise TypeError(f"{what} must hold {kind.__name__} values, got {value!r}")
+
+
 def _check_study(kernels, alpha: float, replications: int, permutations: int,
                  seed: int) -> None:
     """Refuse study arguments before any replication runs, not in a worker."""
     if not kernels:
         raise ValueError("empty kernel list")
+    _check_members(kernels, KernelSpec, "kernels")
     _refuse_shared_labels((s.label for s in kernels), "kernels")
     _check_alpha(alpha)
     _check_integers(replications=replications, permutations=permutations, seed=seed)
@@ -67,6 +74,7 @@ class StudyConfig:
         _check_study(self.kernels, self.alpha, self.replications, self.permutations, self.seed)
         if not self.scenarios:
             raise ValueError("empty scenario grid")
+        _check_members(self.scenarios, ScenarioConfig, "scenarios")
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,8 @@ class LabeledSample:
 
     def __post_init__(self):
         _check_integers(n=self.n, m=self.m)
+        if np.iscomplexobj(self.data):
+            raise TypeError(f"data must be real, got {np.asarray(self.data).dtype} values")
         data = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", data)
         if data.ndim != 2:

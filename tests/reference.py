@@ -149,6 +149,17 @@ def exact_masks_loop(n: int, m: int):
     return masks
 
 
+def distinct_relabellings_rowsort(masks: np.ndarray):
+    """The distinct relabellings among ``masks`` by a sort of whole rows:
+    ``np.unique`` over the representatives with position 0 in group X, each
+    relabelling as its first mask in order of first appearance, with how
+    many masks give it."""
+    _, first, counts = np.unique(masks ^ ~masks[:, :1], axis=0,
+                                 return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return masks[first[order]], counts[order]
+
+
 def gaussian_pair_matrix(gp: GaussianProcessSpec, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix of limiting pair contributions: cross block i.i.d.
     N(0, v_xy), within-X block N(0, v_x), within-Y block N(0, v_y)."""

@@ -23,6 +23,7 @@ from hdtest.kernels import FAMILIES, KernelSpec, phi, phi_prime
 from hdtest.permutation import PermutationPlan, plan_masks, sample_masks
 from hdtest.statistic import masked_statistics, pair_weights
 from tests.reference import (
+    distinct_relabellings_rowsort,
     gamma,
     gaussian_pair_matrix,
     limit_statistics_fsum,
@@ -173,6 +174,13 @@ class TestSigma2NW:
         means[which] = -1.0
         with pytest.raises(ValueError, match="means must be finite and nonnegative"):
             MomentConstants(*means, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["e_x", "e_y", "e_xy", "v_x", "v_y", "v_xy"])
+    @pytest.mark.parametrize("value", [True, "1.0"])
+    def test_constants_must_be_real_numbers(self, field, value):
+        constants = dict(e_x=1.0, e_y=1.0, e_xy=1.0, v_x=1.0, v_y=1.0, v_xy=1.0)
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got {value!r}$"):
+            MomentConstants(**{**constants, field: value})
 
     def test_zero_means_allowed(self):
         # constant data gives e = 0
@@ -349,6 +357,13 @@ class TestPowerLimitMC:
         sizes = {"n": 3, "m": 3, field: value}
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
             GaussianProcessSpec(**sizes, v_xy=1.0, v_x=1.0, v_y=1.0)
+
+    @pytest.mark.parametrize("field", ["v_xy", "v_x", "v_y"])
+    @pytest.mark.parametrize("value", [True, "1.0"])
+    def test_spec_variances_must_be_real_numbers(self, field, value):
+        variances = {"v_xy": 1.0, "v_x": 1.0, "v_y": 1.0, field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got {value!r}$"):
+            GaussianProcessSpec(3, 3, **variances)
 
     @pytest.mark.parametrize("field", ["draws", "seed"])
     @pytest.mark.parametrize("value", [5.0, 2.5, True])
@@ -529,6 +544,9 @@ class TestBatchedLimitMC:
             # the 10 x 10 Monte Carlo plan of the benchmark: 300 relabellings of
             # 190 pairs in blocks of 43
             ((10, 10, 1.0, 1.0, 1.0), PermutationPlan(count=300, seed=3), 2**13, 7),
+            # n != m exact in blocks of 91, so each batch's chunks grow: 64,
+            # then 91 and the last 55
+            ((4, 6, 2.0, 1.0, 0.5), PermutationPlan(mode="exact"), 2**12, 3),
         ],
     )
     def test_several_blocks_match_per_draw_loop(self, monkeypatch, args, plan,
@@ -599,6 +617,46 @@ class TestBatchedLimitMC:
             finally:
                 tracemalloc.stop()
             assert peak <= bound
+
+    def test_decided_draws_skip_the_later_relabellings(self, monkeypatch):
+        # the benchmark's 10 x 10 Monte Carlo plan, whose relabellings fit in
+        # one block: most draws accept after a few dozen of them, so the
+        # loop evaluates at most half of the (draw, relabelling) statistics
+        gp, plan = GaussianProcessSpec(10, 10, 1.0, 1.0, 1.0), PermutationPlan(count=300, seed=3)
+        draws, evaluated = 1000, []
+
+        def counted(rows, chunks, evaluate, alpha, size):
+            def counting(z, chunk):
+                stats, counts = evaluate(z, chunk)
+                evaluated.append(stats.size)
+                return stats, counts
+
+            return permutation._sequential_rejections(rows, chunks, counting, alpha, size)
+
+        monkeypatch.setattr(asymptotics, "_sequential_rejections", counted)
+        power_limit_mc(gp, 0.05, plan, draws, seed=3)
+        distinct, _ = asymptotics._distinct_relabellings(plan_masks(plan, gp.n, gp.m))
+        assert 0 < sum(evaluated) <= 0.5 * draws * len(distinct)
+
+    @pytest.mark.parametrize("n, m, plan", [
+        (3, 3, PermutationPlan(mode="exact")),
+        (4, 4, PermutationPlan(mode="exact")),
+        (3, 5, PermutationPlan(mode="exact")),
+        (4, 6, PermutationPlan(mode="exact")),
+        # Monte Carlo at N = 6, 9, 20, 64 and 65: rows of padded bytes,
+        # whole bytes, and one bit past them
+        (3, 3, PermutationPlan(count=300, seed=1)),
+        (4, 5, PermutationPlan(count=300, seed=2)),
+        (10, 10, PermutationPlan(count=300, seed=3)),
+        (32, 32, PermutationPlan(count=300, seed=4)),
+        (30, 35, PermutationPlan(count=300, seed=5)),
+    ])
+    def test_distinct_relabellings_match_row_sort(self, n, m, plan):
+        masks = plan_masks(plan, n, m)
+        distinct, counts = asymptotics._distinct_relabellings(masks)
+        expected, expected_counts = distinct_relabellings_rowsort(masks)
+        assert np.array_equal(distinct, expected)
+        assert np.array_equal(counts, expected_counts)
 
     def test_mask_and_complement_tie_exactly(self):
         # n = m: a mask and its complement, and every repeat of a mask, are

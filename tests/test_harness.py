@@ -55,6 +55,17 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="empty kernel list"):
             StudyConfig(scenarios=scen, kernels=())
 
+    def test_scenario_that_is_not_a_config_refused(self):
+        scen = (ScenarioConfig(example="1", p=10, n=5, m=5), {"example": "1"})
+        with pytest.raises(TypeError, match=re.escape(
+                "scenarios must hold ScenarioConfig values, got {'example': '1'}")):
+            StudyConfig(scenarios=scen)
+
+    def test_kernel_that_is_not_a_spec_refused(self):
+        scen = (ScenarioConfig(example="1", p=10, n=5, m=5),)
+        with pytest.raises(TypeError, match="^kernels must hold KernelSpec values, got 'l2'$"):
+            StudyConfig(scenarios=scen, kernels=(KernelSpec("l1"), "l2"))
+
 
 class TestKernelLabels:
     SHARED = [
@@ -403,6 +414,15 @@ class TestRunRealdataStudy:
         args = {"sizes": [10], "replications": 2, "permutations": 40, **kwargs}
         with pytest.raises(ValueError, match=message):
             run_realdata_study(self._dataset(), **args)
+
+    def test_kernel_that_is_not_a_spec_rejected_before_any_replication(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication ran before the kernels were checked")
+
+        monkeypatch.setattr(harness, "multi_kernel_rejections", no_work)
+        with pytest.raises(TypeError, match="^kernels must hold KernelSpec values, got 'l2'$"):
+            run_realdata_study(self._dataset(), [10], kernels=("l2",), replications=2,
+                               permutations=40)
 
     @pytest.mark.parametrize("size", [5.0, True])
     def test_sizes_must_be_integers(self, monkeypatch, size):

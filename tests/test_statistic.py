@@ -67,6 +67,18 @@ class TestLabeledSample:
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             LabeledSample(np.zeros((4, 0)), 2, 2)
 
+    @pytest.mark.parametrize("data", [np.ones((4, 2)) + 1j, [[1.0], [2.0], [3.0], [4j]]])
+    def test_complex_data_refused(self, data):
+        # not cast to its real part
+        with pytest.raises(TypeError, match="^data must be real, got complex128 values$"):
+            LabeledSample(data, 2, 2)
+
+    @pytest.mark.parametrize("data", [np.arange(4).reshape(4, 1), np.array([[True], [False]] * 2)])
+    def test_integer_and_bool_data_accepted(self, data):
+        sample = LabeledSample(data, 2, 2)
+        assert sample.data.dtype == float
+        np.testing.assert_array_equal(sample.data, data)
+
     @pytest.mark.parametrize("field", ["n", "m"])
     @pytest.mark.parametrize("value", [5.0, 2.5, True])
     def test_sizes_must_be_integers(self, field, value):
