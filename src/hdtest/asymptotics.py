@@ -26,9 +26,9 @@ from operator import mul
 
 import numpy as np
 
-from .kernels import KernelSpec, _check_reals, phi, phi_prime
+from .kernels import KernelSpec, _check_fields, _check_type, phi, phi_prime
 from .permutation import PermutationPlan, _check_alpha, _sequential_rejections, plan_masks
-from .statistic import _check_integers, pair_weights
+from .statistic import pair_weights
 
 
 @dataclass(frozen=True)
@@ -44,30 +44,26 @@ class MomentConstants:
     v_xy: float
 
     def __post_init__(self):
-        _check_reals(e_x=self.e_x, e_y=self.e_y, e_xy=self.e_xy,
-                     v_x=self.v_x, v_y=self.v_y, v_xy=self.v_xy)
-        if not all(math.isfinite(e) and e >= 0 for e in (self.e_x, self.e_y, self.e_xy)):
-            raise ValueError("means must be finite and nonnegative")
-        _check_variances(self.v_x, self.v_y, self.v_xy)
+        _check_fields(self)
+        _check_nonnegative(self, "means", "e_x", "e_y", "e_xy")
+        _check_nonnegative(self, "variances", "v_x", "v_y", "v_xy")
 
 
-def _check_variances(*variances: float) -> None:
-    if not all(math.isfinite(v) and v >= 0 for v in variances):
-        raise ValueError("variances must be finite and nonnegative")
-
-
-def _check_w(n: int, m: int, w) -> None:
-    if n < 2 or m < 2:
-        raise ValueError("need n, m >= 2")
-    if not 0 <= w <= min(n, m):
-        raise ValueError(f"w={w} outside 0..min(n, m)")
+def _check_nonnegative(obj, what: str, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{what} must be finite and nonnegative, got {name}={value}")
 
 
 def _class_pairs(n: int, m: int, w: int) -> tuple[tuple[int, int, int], ...]:
     """Pairs of each original block (rows X, Y, cross) that a relabelling
     swapping w of X's positions with w of Y's puts in the (cross, X, Y)
     blocks of the statistic."""
-    _check_w(n, m, w)
+    if n < 2 or m < 2:
+        raise ValueError("need n, m >= 2")
+    if not 0 <= w <= min(n, m):
+        raise ValueError(f"w={w} outside 0..min(n, m)")
     return (
         ((n - w) * w, math.comb(n - w, 2), math.comb(w, 2)),
         ((m - w) * w, math.comb(w, 2), math.comb(m - w, 2)),
@@ -162,11 +158,10 @@ class GaussianProcessSpec:
     v_y: float
 
     def __post_init__(self):
-        _check_integers(n=self.n, m=self.m)
-        _check_reals(v_xy=self.v_xy, v_x=self.v_x, v_y=self.v_y)
+        _check_fields(self)
         if self.n < 2 or self.m < 2:
             raise ValueError("need n, m >= 2")
-        _check_variances(self.v_xy, self.v_x, self.v_y)
+        _check_nonnegative(self, "variances", "v_xy", "v_x", "v_y")
 
 
 #: most entries of one block of coefficients (pairs x relabellings) in
@@ -287,7 +282,7 @@ def power_limit_mc(
     length's rounding bound in any summation order.
     Returns (estimate, standard error).
     """
-    _check_integers(draws=draws, seed=seed)
+    _check_type(int, draws=draws, seed=seed)
     if draws < 1000:
         raise ValueError("need at least 1000 draws")
     if seed < 0:

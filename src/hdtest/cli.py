@@ -122,9 +122,8 @@ def _study_from_json(raw) -> harness.StudyConfig:
     # a missing grid is left to StudyConfig's own check
     raw["scenarios"] = tuple(datagen.ScenarioConfig(**s) for s in raw.get("scenarios", ()))
     if "kernels" in raw:
-        raw["kernels"] = tuple(
-            KernelSpec(**k) if isinstance(k, dict) else KernelSpec(k) for k in raw["kernels"]
-        )
+        raw["kernels"] = tuple(KernelSpec(**k) if isinstance(k, dict) else KernelSpec(k)
+                               for k in raw["kernels"])
     return harness.StudyConfig(**raw)
 
 
@@ -152,15 +151,8 @@ def _cmd_realdata(args):
     dataset = harness.load_delimited(args.file, args.format)
     kernels = tuple(_from_args(KernelSpec, args, family=f) for f in FAMILIES)
     table = harness.run_realdata_study(
-        dataset,
-        sizes,
-        kernels=kernels,
-        alpha=args.alpha,
-        replications=args.replications,
-        permutations=args.perms,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+        dataset, sizes, kernels=kernels, alpha=args.alpha, replications=args.replications,
+        permutations=args.perms, seed=args.seed, jobs=args.jobs)
     table.write_csv(args.out)
     print(f"wrote {len(table.rows)} rows to {args.out}")
 

@@ -12,12 +12,13 @@ match but whose joint law differs.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _check_reals
-from .statistic import LabeledSample, _check_integers
+from .kernels import _check_fields
+from .statistic import LabeledSample
 
 EXAMPLES = ("1", "2i", "2ii", "2iii", "3i", "3ii", "4i", "4ii")
 
@@ -36,14 +37,16 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(p=self.p, n=self.n, m=self.m, v_seed=self.v_seed, seed=self.seed)
-        _check_reals(rho=self.rho, beta=self.beta)
+        _check_fields(self)
         if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}")
         if self.p < 1:
             raise ValueError("dimension p must be at least 1")
         if self.n < 2 or self.m < 2:
             raise ValueError("need at least 2 observations per group")
+        for name in ("p", "n", "m"):  # each sizes an array or a range
+            if getattr(self, name) > sys.maxsize:
+                raise ValueError(f"{name} must be at most {sys.maxsize}")
         if not -1 < self.rho < 1:
             raise ValueError("rho must be in (-1, 1)")
         if not 0 <= self.beta <= 1:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import MomentConstants
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _check_type
 from .permutation import PermutationPlan, decide, plan_masks
-from .statistic import (LabeledSample, _check_integers, _quadratic_forms, _u_centred,
-                         masked_statistics, psibar_matrix)
+from .statistic import (LabeledSample, _quadratic_forms, _u_centred, masked_statistics,
+                         psibar_matrix)
 
 #: relabellings behind a report's regime hint
 _NULL_REPS = 50
@@ -100,7 +100,7 @@ def discrepancy_report(
     of them, the observed one included, reach the observed gap, so below 19
     relabellings it flags nothing. It is a heuristic, not a test.
     """
-    _check_integers(null_reps=null_reps)
+    _check_type(int, null_reps=null_reps)
     if null_reps < 1:
         raise ValueError("null_reps must be >= 1")
     sq, l1 = psibar_matrix(sample.data, True), psibar_matrix(sample.data, False)

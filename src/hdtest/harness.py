@@ -27,9 +27,9 @@ from functools import partial
 import numpy as np
 
 from .datagen import ScenarioConfig, generate
-from .kernels import FAMILIES, KernelSpec
+from .kernels import FAMILIES, KernelSpec, _check_fields, _check_type
 from .permutation import PermutationPlan, _check_alpha, _kernel_rejections
-from .statistic import LabeledSample, _check_integers, _check_magnitude, kernel_matrix_stack
+from .statistic import LabeledSample, _check_magnitude, kernel_matrix_stack
 
 
 def _refuse_shared_labels(labels, what: str) -> None:
@@ -38,21 +38,12 @@ def _refuse_shared_labels(labels, what: str) -> None:
         raise ValueError(f"two {what} share the label {shared[0]!r}, which keys their results")
 
 
-def _check_members(values, kind: type, what: str) -> None:
-    for value in values:
-        if not isinstance(value, kind):
-            raise TypeError(f"{what} must hold {kind.__name__} values, got {value!r}")
-
-
-def _check_study(kernels, alpha: float, replications: int, permutations: int,
-                 seed: int) -> None:
+def _check_study(kernels, alpha: float, replications: int, permutations: int, seed: int) -> None:
     """Refuse study arguments before any replication runs, not in a worker."""
     if not kernels:
         raise ValueError("empty kernel list")
-    _check_members(kernels, KernelSpec, "kernels")
     _refuse_shared_labels((s.label for s in kernels), "kernels")
     _check_alpha(alpha)
-    _check_integers(replications=replications, permutations=permutations, seed=seed)
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if permutations < 20:
@@ -71,10 +62,10 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self)
         _check_study(self.kernels, self.alpha, self.replications, self.permutations, self.seed)
         if not self.scenarios:
             raise ValueError("empty scenario grid")
-        _check_members(self.scenarios, ScenarioConfig, "scenarios")
 
 
 @dataclass(frozen=True)
@@ -84,6 +75,7 @@ class RealDataset:
     classes: dict
 
     def __post_init__(self):
+        _check_fields(self)
         if len(self.classes) < 2:
             raise ValueError("need at least two classes")
         for label, arr in self.classes.items():
@@ -160,7 +152,7 @@ def _run_grid(points, kernels, alpha, replications, permutations, master, jobs) 
     All replications of all points share one pool, which takes them in
     chunks of ``ceil(replications / jobs)``.
     """
-    _check_integers(jobs=jobs)
+    _check_type(int, jobs=jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     _refuse_shared_labels((label for label, _ in points), "grid points")
@@ -211,6 +203,8 @@ def run_realdata_study(
     two in sorted order); passing the same label twice yields a
     null-by-construction control study.
     """
+    _check_type(tuple[KernelSpec, ...], kernels=kernels)
+    _check_type(int, replications=replications, permutations=permutations, seed=seed)
     _check_study(kernels, alpha, replications, permutations, seed)
     keys = sorted(dataset.classes)
     if labels is None:
@@ -226,7 +220,7 @@ def run_realdata_study(
     if not sizes:
         raise ValueError("empty size grid")
     for n in sizes:  # all checked before any replication runs
-        _check_integers(n=n)
+        _check_type(int, n=n)
         if not 2 <= n <= most:
             why = "is below 2" if n < 2 else "exceeds a class size"
             raise ValueError(f"requested n={n} {why}; these classes allow n in 2..{most}")

@@ -18,9 +18,12 @@ larger discrepancy.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
+import typing
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +34,41 @@ FAMILIES = ("l2", "l1", "gaussian", "laplacian")
 _SQUARED_PSI = ("l2", "gaussian", "laplacian")
 
 
-def _check_reals(**fields) -> None:
-    """Refuse, naming its field, any value that is not a real number; a bool
-    is not one, nor is a string such as "0.5" that a JSON config may hold."""
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError(f"{name} must be a real number, got {value!r}")
+def _check_type(kind, **values) -> None:
+    """Refuse, naming its field, each of ``values`` that is no ``kind``, an annotation:
+    ``int`` or ``float`` (no bool, and a float's range), ``np.ndarray`` (any array-like
+    of bools or real numbers), ``tuple[X, ...]`` (an iterable of X) or a class."""
+    for name, value in values.items():
+        if kind is int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        elif kind is float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            if isinstance(value, numbers.Rational) and abs(value) > sys.float_info.max:
+                raise TypeError(f"{name} must be a real number within the float range")
+        elif kind is np.ndarray:
+            if (dtype := np.asarray(value).dtype).kind not in "biuf":
+                raise TypeError(f"{name} must be real, got {dtype} values")
+        elif typing.get_origin(kind) is tuple:
+            member = typing.get_args(kind)[0]
+            bad = [value] if not isinstance(value, Iterable) else [
+                v for v in value if not isinstance(v, member)]
+            if bad:
+                raise TypeError(f"{name} must hold {member.__name__} values, got {bad[0]!r}")
+        elif not isinstance(value, kind):
+            raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
+@functools.cache  # once per class, so bounded by the package's dataclasses
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _check_fields(obj) -> None:
+    """:func:`_check_type` on each field of the dataclass ``obj``."""
+    for name, kind in _field_types(type(obj)).items():
+        _check_type(kind, **{name: getattr(obj, name)})
 
 
 @dataclass(frozen=True)
@@ -53,16 +85,12 @@ class KernelSpec:
     gamma: float = field(default=1.0)
 
     def __post_init__(self):
+        _check_fields(self)
         if self.family not in FAMILIES:
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
-            )
-        _check_reals(gamma=self.gamma)
+            raise ValueError(f"unknown kernel family {self.family!r}; "
+                             f"expected one of {FAMILIES}")
         if self.family in ("gaussian", "laplacian"):
-            try:
-                gamma = float(self.gamma)
-            except OverflowError:  # an integer beyond the float range, as from JSON
-                gamma = math.inf
+            gamma = float(self.gamma)
             if not (gamma > 0 and sys.float_info.min <= 2.0 * gamma * gamma < math.inf):
                 raise ValueError("bandwidth must be positive and finite, with 2 gamma^2 a "
                                  f"normal float, got {gamma}")

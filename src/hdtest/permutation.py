@@ -30,9 +30,9 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .kernels import KernelSpec, _check_reals
-from .statistic import (LabeledSample, _bitwise_rows, _check_integers, _coefficient,
-                        _quadratic_forms, _u_centred, kernel_matrix_stack)
+from .kernels import KernelSpec, _check_fields, _check_type
+from .statistic import (LabeledSample, _bitwise_rows, _coefficient, _quadratic_forms,
+                        _u_centred, kernel_matrix_stack)
 
 #: exact enumeration builds at most this many group-X masks
 EXACT_MASK_CAP = 100_000
@@ -45,7 +45,7 @@ class PermutationPlan:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(count=self.count, seed=self.seed)
+        _check_fields(self)
         if self.mode not in ("exact", "monte-carlo"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "monte-carlo" and self.count < 1:
@@ -111,10 +111,8 @@ def _plan_chunks(plan: PermutationPlan, n: int, m: int):
         return plan.count, _mask_chunks(n, m, plan.count, plan.seed, max(1, plan.count // rows))
     size = math.comb(n + m, n)
     if size > EXACT_MASK_CAP:
-        raise ValueError(
-            f"exact enumeration needs C(n+m, n) = {size} masks, "
-            f"more than {EXACT_MASK_CAP}; use monte-carlo mode instead"
-        )
+        raise ValueError(f"exact enumeration needs C(n+m, n) = {size} masks, more than "
+                         f"{EXACT_MASK_CAP}; use monte-carlo mode instead")
     return size, _exact_chunks(n, m, size, max(1, size // rows))
 
 
@@ -127,7 +125,7 @@ def plan_masks(plan: PermutationPlan, n: int, m: int) -> np.ndarray:
 
 
 def _check_alpha(alpha: float) -> None:
-    _check_reals(alpha=alpha)
+    _check_type(float, alpha=alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
 

@@ -20,22 +20,13 @@ formulas and the limit Monte Carlo of :mod:`hdtest.asymptotics` sum
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .kernels import KernelSpec, phi
-
-
-def _check_integers(**fields) -> None:
-    """Refuse, naming its field, any value that is not an integer; a bool is
-    not one, nor is a float such as 5.0 that a JSON config may hold."""
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+from .kernels import KernelSpec, _check_fields, phi
 
 
 def _check_magnitude(data: np.ndarray, size: int) -> None:
@@ -60,9 +51,7 @@ class LabeledSample:
     m: int
 
     def __post_init__(self):
-        _check_integers(n=self.n, m=self.m)
-        if np.iscomplexobj(self.data):
-            raise TypeError(f"data must be real, got {np.asarray(self.data).dtype} values")
+        _check_fields(self)
         data = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", data)
         if data.ndim != 2:

@@ -182,6 +182,23 @@ class TestSigma2NW:
         with pytest.raises(TypeError, match=f"^{field} must be a real number, got {value!r}$"):
             MomentConstants(**{**constants, field: value})
 
+    @pytest.mark.parametrize("field", ["e_x", "e_y", "e_xy", "v_x", "v_y", "v_xy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_constant_is_named(self, field, value):
+        constants = dict(e_x=1.0, e_y=1.0, e_xy=1.0, v_x=1.0, v_y=1.0, v_xy=1.0)
+        what = "means" if field.startswith("e") else "variances"
+        with pytest.raises(ValueError, match=f"^{what} must be finite and nonnegative, "
+                                             f"got {field}={value}$"):
+            MomentConstants(**{**constants, field: value})
+
+    @pytest.mark.parametrize("field", ["e_x", "v_xy"])
+    def test_constant_beyond_the_float_range_refused(self, field):
+        # an integer a JSON config may hold, which no float can represent
+        constants = dict(e_x=1.0, e_y=1.0, e_xy=1.0, v_x=1.0, v_y=1.0, v_xy=1.0)
+        with pytest.raises(TypeError, match=f"^{field} must be a real number within the "
+                                            "float range$"):
+            MomentConstants(**{**constants, field: 10**400})
+
     def test_zero_means_allowed(self):
         # constant data gives e = 0
         c = MomentConstants(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
@@ -363,6 +380,21 @@ class TestPowerLimitMC:
     def test_spec_variances_must_be_real_numbers(self, field, value):
         variances = {"v_xy": 1.0, "v_x": 1.0, "v_y": 1.0, field: value}
         with pytest.raises(TypeError, match=f"^{field} must be a real number, got {value!r}$"):
+            GaussianProcessSpec(3, 3, **variances)
+
+    @pytest.mark.parametrize("field", ["v_xy", "v_x", "v_y"])
+    def test_spec_variance_beyond_the_float_range_refused(self, field):
+        variances = {"v_xy": 1.0, "v_x": 1.0, "v_y": 1.0, field: 10**400}
+        with pytest.raises(TypeError, match=f"^{field} must be a real number within the "
+                                            "float range$"):
+            GaussianProcessSpec(3, 3, **variances)
+
+    @pytest.mark.parametrize("field", ["v_xy", "v_x", "v_y"])
+    def test_first_bad_spec_variance_is_named(self, field):
+        variances = {"v_xy": 1.0, "v_x": -1.0, "v_y": math.nan, field: math.inf}
+        first = next(name for name in ("v_xy", "v_x", "v_y") if variances[name] != 1.0)
+        with pytest.raises(ValueError, match=f"^variances must be finite and nonnegative, "
+                                             f"got {first}={variances[first]}$"):
             GaussianProcessSpec(3, 3, **variances)
 
     @pytest.mark.parametrize("field", ["draws", "seed"])

@@ -1,0 +1,103 @@
+"""The package's one boundary contract, generated from its public dataclasses.
+
+Every dataclass in ``hdtest.__all__`` is an input, whose fields are checked
+against their annotations when it is built, or an output listed in
+:data:`EXEMPT`. Each field of an input gets the same corpus of bad or
+borderline values: each must be accepted, or refused with a one-line
+``TypeError`` or ``ValueError`` whose message names the field.
+"""
+
+import dataclasses
+import math
+import re
+import typing
+
+import numpy as np
+import pytest
+
+import hdtest
+from hdtest import (GaussianProcessSpec, KernelSpec, LabeledSample, MomentConstants,
+                    PermutationPlan, RealDataset, ScenarioConfig, StudyConfig)
+
+#: public dataclasses the package builds as results, never from user input
+EXEMPT = {"TestResult", "DiscrepancyReport", "KernelMatrix", "PowerTable"}
+
+#: one valid instance's arguments per input dataclass
+VALID = {
+    KernelSpec: dict(family="gaussian", gamma=1.0),
+    ScenarioConfig: dict(example="1", p=3, n=2, m=2),
+    LabeledSample: dict(data=np.zeros((4, 2)), n=2, m=2),
+    PermutationPlan: dict(mode="monte-carlo", count=30, seed=0),
+    MomentConstants: dict(e_x=1.0, e_y=1.0, e_xy=1.0, v_x=1.0, v_y=1.0, v_xy=1.0),
+    GaussianProcessSpec: dict(n=3, m=3, v_xy=1.0, v_x=1.0, v_y=1.0),
+    StudyConfig: dict(scenarios=(ScenarioConfig("1", p=3, n=2, m=2),)),
+    RealDataset: dict(classes={"a": np.zeros((2, 2)), "b": np.ones((2, 2))}),
+}
+
+#: a bool, a string, None, non-finite and complex numbers, a float for an
+#: int, numpy scalars and an integer beyond the float range, by label
+CORPUS = {"True": True, '"1"': "1", "None": None, "nan": math.nan, "inf": math.inf,
+          "1+0j": 1 + 0j, "2.0": 2.0, "np.float64(2.0)": np.float64(2.0),
+          "np.int64(2)": np.int64(2), "10**400": 10**400}
+
+#: the numpy scalars of the corpus and the plain values they must behave as
+PLAIN = {"np.float64(2.0)": 2.0, "np.int64(2)": 2}
+
+#: a bare member of each kind of container field
+MEMBERS = {StudyConfig: {"scenarios": VALID[StudyConfig]["scenarios"][0],
+                         "kernels": KernelSpec("l2")},
+           RealDataset: {"classes": np.zeros((2, 2))},
+           LabeledSample: {"data": np.zeros(2)}}
+
+
+def _public_dataclasses():
+    return [obj for name in hdtest.__all__
+            if dataclasses.is_dataclass(obj := getattr(hdtest, name))]
+
+
+def _corpus(cls, name: str) -> dict:
+    """The values the field ``name`` of ``cls`` gets, keyed by a label."""
+    values = dict(CORPUS)
+    if name in MEMBERS.get(cls, {}):
+        values["a bare member"] = MEMBERS[cls][name]
+        values["a list holding a dict"] = [{}]
+    if typing.get_type_hints(cls)[name] is np.ndarray:
+        # every corpus value as the entries of a matrix of the valid shape
+        values.update({f"entries {label}": [[v] * 2] * 4 for label, v in CORPUS.items()})
+    return values
+
+
+def _outcome(cls, name: str, value):
+    """None if ``cls`` accepts ``value`` as ``name``, else the refusal."""
+    try:
+        cls(**{**VALID[cls], name: value})
+    except (TypeError, ValueError) as err:
+        return err
+    return None
+
+
+def test_every_public_dataclass_is_an_input_or_exempt():
+    names = {cls.__name__ for cls in _public_dataclasses()}
+    assert EXEMPT <= names
+    assert names - EXEMPT == {cls.__name__ for cls in VALID}
+    for cls in VALID:
+        cls(**VALID[cls])
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in _public_dataclasses() if cls.__name__ not in EXEMPT
+    for f in dataclasses.fields(cls)
+])
+def test_field_accepts_or_refuses_by_name(cls, name):
+    assert cls in VALID, f"{cls.__name__} is neither an input with a valid instance nor exempt"
+    outcomes = {}
+    for label, value in _corpus(cls, name).items():
+        err = outcomes[label] = _outcome(cls, name, value)
+        if err is not None:
+            message = str(err)
+            assert "\n" not in message, (label, message)
+            assert re.search(rf"\b{name}\b", message), (label, message)
+    for label, plain in PLAIN.items():
+        numpy_err, plain_err = outcomes[label], _outcome(cls, name, plain)
+        assert type(numpy_err) is type(plain_err), (label, numpy_err, plain_err)

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import sys
 import warnings
+from dataclasses import fields as fields_of
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hdtest import diagnostics, statistic
 from hdtest.cli import main
 from hdtest.datagen import ScenarioConfig, generate
 from hdtest.harness import StudyConfig, run_power_study
-from hdtest.kernels import FAMILIES
+from hdtest.kernels import FAMILIES, KernelSpec
 from hdtest.statistic import psibar_matrix
 
 #: sha256 of ``hdtest diagnose --seed 3`` stdout over ``_diagnose_csvs`` and
@@ -389,6 +391,63 @@ class TestConfigBoundary:
         table.write_csv(tmp_path / "api.csv")
         assert out_path.read_bytes() == (tmp_path / "api.csv").read_bytes()
 
+    @pytest.mark.parametrize("field", ["p", "n", "m"])
+    def test_size_beyond_an_index_exits_with_one_line(self, tmp_path, field):
+        # a p this large ended in an OverflowError inside the generator
+        big, out = 10**20, tmp_path / "o.csv"
+        scen, study = tmp_path / "scen.json", tmp_path / "study.json"
+        scen.write_text(json.dumps({**self.SCENARIO, field: big}))
+        study.write_text(json.dumps({"scenarios": [{**self.SCENARIO, field: big}],
+                                     "replications": 2, "permutations": 30}))
+        for argv in (["gen", f"--{field}", str(big)], ["gen", "--config", str(scen)],
+                     ["power", "--config", str(study)]):
+            line = self._exit_line([*argv, "--out", str(out)])
+            assert line == f"hdtest {argv[0]}: {field} must be at most {sys.maxsize}"
+            assert not out.exists()
+
+    #: JSON values that meet the boundary check: a bool, a string, null,
+    #: non-finite numbers, a float for an integer, an integer beyond the
+    #: float range and empty containers
+    JSON_CORPUS = [True, "1", None, math.nan, math.inf, 2.0, 10**400, [], {}]
+
+    KERNEL = {"family": "gaussian", "gamma": 1.0}
+
+    @pytest.mark.parametrize("where, key", [
+        *(("study", f.name) for f in fields_of(StudyConfig)),
+        *(("scenario", f.name) for f in fields_of(ScenarioConfig)),
+        *(("kernel", f.name) for f in fields_of(KernelSpec)),
+        *(("gen", f.name) for f in fields_of(ScenarioConfig)),
+    ])
+    def test_refused_json_value_exits_with_one_line(self, tmp_path, where, key):
+        """Each JSON value the library refuses for a key of a ``power`` or a
+        ``gen --config`` document ends in one line and writes nothing; a value
+        it accepts is not run, since it may start unbounded work."""
+        study = {"replications": 2, "permutations": 30}
+        path, out = tmp_path / "config.json", tmp_path / "o.csv"
+        refused = 0
+        for value in self.JSON_CORPUS:
+            scenario, kernel = {**self.SCENARIO}, {**self.KERNEL}
+            if where == "study":
+                doc = {"scenarios": [scenario], "kernels": [kernel], **study, key: value}
+            else:
+                (kernel if where == "kernel" else scenario)[key] = value
+                doc = scenario if where == "gen" else {
+                    "scenarios": [scenario], "kernels": [kernel], **study}
+            try:
+                if where == "study":
+                    StudyConfig(**{**study, "scenarios": (ScenarioConfig(**scenario),),
+                                   "kernels": (KernelSpec(**kernel),), key: value})
+                else:
+                    KernelSpec(**kernel), ScenarioConfig(**scenario)
+                continue
+            except (TypeError, ValueError):
+                refused += 1
+            path.write_text(json.dumps(doc))
+            command = "gen" if where == "gen" else "power"
+            self._exit_line([command, "--config", str(path), "--out", str(out)])
+            assert not out.exists(), (key, value)
+        assert refused >= 5
+
 
 class TestRealdataCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -498,9 +557,12 @@ class TestBandwidthRange:
             assert line == f"hdtest {argv[0]}: {message}"
 
     def test_study_exits(self, tmp_path):
-        # an integer too large for a float is named as the float it rounds to
-        for gamma, shown in ((1e200, "1e+200"), (10**400, "inf")):
-            path = tmp_path / "study.json"
+        # an integer too large for a float is refused as no float, in the file
+        path = tmp_path / "study.json"
+        for gamma, message in (
+                (1e200, "bandwidth must be positive and finite, with 2 gamma^2 a normal float, "
+                        "got 1e+200"),
+                (10**400, f"{path}: gamma must be a real number within the float range")):
             path.write_text(json.dumps({
                 "scenarios": [{"example": "1", "p": 10, "n": 5, "m": 5}],
                 "kernels": ["l2", {"family": "gaussian", "gamma": gamma}],
@@ -508,8 +570,7 @@ class TestBandwidthRange:
             }))
             line = self._exit_line(["power", "--config", str(path),
                                     "--out", str(tmp_path / "t.csv")])
-            assert line == ("hdtest power: bandwidth must be positive and finite, "
-                            f"with 2 gamma^2 a normal float, got {shown}")
+            assert line == f"hdtest power: {message}"
             assert not (tmp_path / "t.csv").exists()
 
 

@@ -268,3 +268,29 @@ def test_per_layer_metrics_time_public_functions():
             dead.add(f"{layer}.{name}")
     assert len(functions) > len(KNOWN_DEAD)
     assert dead <= KNOWN_DEAD
+
+
+#: the public dataclasses built from user input, each checked against its
+#: field annotations when it is built
+INPUT_DATACLASSES = {"KernelSpec", "ScenarioConfig", "LabeledSample", "PermutationPlan",
+                     "MomentConstants", "GaussianProcessSpec", "StudyConfig", "RealDataset"}
+
+
+def test_one_field_check():
+    """Field types are checked in one place, ``kernels._check_fields``: only
+    ``kernels.py`` imports ``numbers``, no per-type helper is left, and each
+    input dataclass calls the check first in its ``__post_init__``."""
+    trees = _trees()
+    assert {module for module, tree in trees.items() for node in ast.walk(tree)
+            if "numbers" in _imported_names(node)} == {"kernels"}
+    helpers = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert helpers & {"_check_integers", "_check_reals", "_check_members"} == set()
+    first = {
+        node.name: ast.unparse(post.body[0])
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in INPUT_DATACLASSES
+        for post in node.body
+        if isinstance(post, ast.FunctionDef) and post.name == "__post_init__"
+    }
+    assert first == dict.fromkeys(INPUT_DATACLASSES, "_check_fields(self)")

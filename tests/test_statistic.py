@@ -73,6 +73,14 @@ class TestLabeledSample:
         with pytest.raises(TypeError, match="^data must be real, got complex128 values$"):
             LabeledSample(data, 2, 2)
 
+    @pytest.mark.parametrize("data, dtype", [
+        ([["a", "b"]] * 4, "<U1"), ([[None, 1.0]] * 4, "object"), ([[10**400, 1]] * 4, "object"),
+    ])
+    def test_non_numeric_data_refused_by_name(self, data, dtype):
+        # strings, None and integers beyond the float range have no float value
+        with pytest.raises(TypeError, match=f"^data must be real, got {dtype} values$"):
+            LabeledSample(data, 2, 2)
+
     @pytest.mark.parametrize("data", [np.arange(4).reshape(4, 1), np.array([[True], [False]] * 2)])
     def test_integer_and_bool_data_accepted(self, data):
         sample = LabeledSample(data, 2, 2)
