@@ -282,6 +282,8 @@ def power_limit_mc(
     length's rounding bound in any summation order.
     Returns (estimate, standard error).
     """
+    _check_type(GaussianProcessSpec, gp=gp)
+    _check_type(PermutationPlan, plan=plan)
     _check_type(int, draws=draws, seed=seed)
     if draws < 1000:
         raise ValueError("need at least 1000 draws")

@@ -187,5 +187,9 @@ _GENERATORS = {"1": _example1, "2": _example2, "3": _example3, "4": _example4}
 
 def generate(cfg: ScenarioConfig) -> LabeledSample:
     """The scenario of ``cfg``, from the generator of its example's design
-    family: the one way to draw a scenario."""
-    return _GENERATORS[cfg.example[0]](cfg)
+    family: the one way to draw a scenario. Its data is read-only, so
+    :func:`~hdtest.statistic.psibar_matrix` builds each kind of its
+    distances once."""
+    sample = _GENERATORS[cfg.example[0]](cfg)
+    sample.data.flags.writeable = False  # the generator's own array
+    return sample

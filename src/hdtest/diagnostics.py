@@ -72,6 +72,8 @@ def estimate_moment_constants(sample: LabeledSample, spec: KernelSpec):
     U-centred block within a group of size k, nm/((n-1)(m-1)) times the
     double-centred block across the groups.
     """
+    _check_type(LabeledSample, sample=sample)
+    _check_type(KernelSpec, spec=spec)
     if sample.n < 4 or sample.m < 4:
         raise ValueError("moment-constant estimation needs n, m >= 4")
     return _moment_constants(sample, psibar_matrix(sample.data, spec.uses_squared_differences))
@@ -100,6 +102,7 @@ def discrepancy_report(
     of them, the observed one included, reach the observed gap, so below 19
     relabellings it flags nothing. It is a heuristic, not a test.
     """
+    _check_type(LabeledSample, sample=sample)
     _check_type(int, null_reps=null_reps)
     if null_reps < 1:
         raise ValueError("null_reps must be >= 1")
@@ -140,6 +143,8 @@ def _report(sample, sq, l1, null_reps: int, seed: int) -> DiscrepancyReport:
 
 def diagnose(sample: LabeledSample, spec: KernelSpec, seed: int = 0):
     """The report and ``spec``'s constants (None if n or m < 4) from one matrix per kind."""
+    _check_type(LabeledSample, sample=sample)
+    _check_type(KernelSpec, spec=spec)
     sq, l1 = psibar_matrix(sample.data, True), psibar_matrix(sample.data, False)
     constants = None
     if sample.n >= 4 and sample.m >= 4:

@@ -126,6 +126,8 @@ def multi_kernel_rejections(
     """Each kernel's decision on one dataset, keyed by its label, all
     kernels sharing the same S-1 random permutations. Masks are drawn only
     until every decision is fixed; each is the one of all S masks."""
+    _check_type(LabeledSample, sample=sample)
+    _check_type(tuple[KernelSpec, ...], kernels=kernels)
     reject = _kernel_rejections(kernel_matrix_stack(sample, kernels), sample.n, sample.m,
                                 alpha, PermutationPlan(count=permutations, seed=seed))
     return {spec.label: bool(r) for spec, r in zip(kernels, reject)}

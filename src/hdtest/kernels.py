@@ -36,8 +36,8 @@ _SQUARED_PSI = ("l2", "gaussian", "laplacian")
 
 def _check_type(kind, **values) -> None:
     """Refuse, naming its field, each of ``values`` that is no ``kind``, an annotation:
-    ``int`` or ``float`` (no bool, and a float's range), ``np.ndarray`` (any array-like
-    of bools or real numbers), ``tuple[X, ...]`` (an iterable of X) or a class."""
+    ``int`` or ``float`` (no bool, and a float's range), ``np.ndarray`` (any rectangular
+    array-like of bools or real numbers), ``tuple[X, ...]`` (an iterable of X) or a class."""
     for name, value in values.items():
         if kind is int:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -48,7 +48,12 @@ def _check_type(kind, **values) -> None:
             if isinstance(value, numbers.Rational) and abs(value) > sys.float_info.max:
                 raise TypeError(f"{name} must be a real number within the float range")
         elif kind is np.ndarray:
-            if (dtype := np.asarray(value).dtype).kind not in "biuf":
+            try:
+                dtype = np.asarray(value).dtype
+            except ValueError:  # numpy's message for ragged rows names no field
+                raise ValueError(f"{name} must be a rectangular array, got rows of "
+                                 "unequal length") from None
+            if dtype.kind not in "biuf":
                 raise TypeError(f"{name} must be real, got {dtype} values")
         elif typing.get_origin(kind) is tuple:
             member = typing.get_args(kind)[0]

@@ -222,9 +222,12 @@ def permutation_test(
     """Level-alpha permutation test by :func:`decide`. The observed statistic
     reaches itself, so the p-value, the share of the S statistics that reach
     it, is >= 1/S."""
+    _check_type(LabeledSample, sample=sample)
+    _check_type(KernelSpec, spec=spec)
     _check_alpha(alpha)
     if plan is None:
         plan = PermutationPlan()
+    _check_type(PermutationPlan, plan=plan)
     n, m = sample.n, sample.m
     size, chunks = _plan_chunks(plan, n, m)
     values, coefficient = _u_centred(kernel_matrix_stack(sample, (spec,))[0]), _coefficient(n, m)

@@ -6,6 +6,9 @@ O((n+m)^2) regardless of the data dimension. The one O((n+m)^2 p) step,
 squared distances, is a Gram GEMM of the rows centred on row 0 (see
 :func:`psibar_matrix`: exactly symmetric, exact on integer-valued data and
 for duplicated rows); cityblock distances come from ``pdist``.
+:func:`psibar_matrix` keeps its last matrix of each kind for a read-only
+data array, so tests of several kernels on one generated sample build each
+kind once.
 :func:`kernel_matrix_stack` builds the (K, n+m, n+m) stack of a sample's
 kernels. Under a batch of group-X masks each statistic is one quadratic form
 of the U-centred matrix (:func:`_u_centred`, :func:`_quadratic_forms`): the
@@ -20,6 +23,7 @@ formulas and the limit Monte Carlo of :mod:`hdtest.asymptotics` sum
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +57,8 @@ class LabeledSample:
     def __post_init__(self):
         _check_fields(self)
         data = np.asarray(self.data, dtype=float)
+        if data is not self.data:  # np.asarray made it, so no caller writes it
+            data.flags.writeable = False
         object.__setattr__(self, "data", data)
         if data.ndim != 2:
             raise ValueError("data must be a 2-d matrix")
@@ -86,6 +92,12 @@ class KernelMatrix:
     m: int
 
 
+#: per kind (squared or not), the matrix last built for a read-only array that
+#: owns its memory, with a weak reference to that array; a callback drops it
+#: when the array is freed, so it holds at most two matrices of live arrays
+_kept: dict = {}
+
+
 def psibar_matrix(data: np.ndarray, squared: bool) -> np.ndarray:
     """Pairwise averaged coordinate distances for all rows of ``data``.
 
@@ -105,7 +117,35 @@ def psibar_matrix(data: np.ndarray, squared: bool) -> np.ndarray:
     exactly symmetric with a zero diagonal, and rows that are exactly equal
     are at distance exactly 0.0 and share their first copy's row and column
     bit for bit.
+
+    When ``data`` is read-only and owns its memory, as a generated sample's
+    data does, the matrix of each kind last built for it is kept while the
+    array lives, and is returned, read-only, when the same array asks again.
+    Any other array is built on every call: make an array read-only
+    (``arr.flags.writeable = False``) to have its distances reused, and do not
+    make it writable again to change it.
     """
+    kept = _kept.get(squared)
+    if kept is not None and kept[0]() is data and not data.flags.writeable:
+        return kept[1]
+    pb = _averaged_distances(data, squared)
+    if data.flags.owndata and not data.flags.writeable:
+        pb.flags.writeable = False
+        _kept[squared] = (weakref.ref(data, lambda ref: _forget(squared, ref)), pb)
+    return pb
+
+
+def _forget(squared: bool, ref: weakref.ref) -> None:
+    """Drop the kept matrix of a freed array, unless a later array's replaced
+    it. It takes no lock, since it may run inside any statement, even one
+    that holds the lock; a race between threads can only drop an entry,
+    which costs a rebuild."""
+    if _kept.get(squared, (None,))[0] is ref:
+        _kept.pop(squared, None)
+
+
+def _averaged_distances(data: np.ndarray, squared: bool) -> np.ndarray:
+    """:func:`psibar_matrix`, built."""
     p = data.shape[1]
     if not squared:
         return squareform(pdist(data, metric="cityblock")) / p
@@ -116,8 +156,11 @@ def psibar_matrix(data: np.ndarray, squared: bool) -> np.ndarray:
     # twice the Gram matrix, symmetric whatever the BLAS does; the diagonal
     # is then 2dᵢ - 2gᵢᵢ = 0 exactly
     sq -= g + g.T
-    later, earlier = np.nonzero(np.tril(sq <= np.add.outer(1e-2 * d, 1e-2 * d), -1))
-    if later.size:
+    close = sq <= np.add.outer(1e-2 * d, 1e-2 * d)
+    # close is symmetric, so it holds a pair off its diagonal iff it holds more
+    # than its diagonal; most data holds none, and then the scan is skipped
+    if np.count_nonzero(close) > np.count_nonzero(close.diagonal()):
+        later, earlier = np.nonzero(np.tril(close, -1))
         near = _sq_differences(data, later, earlier)
         sq[later, earlier] = sq[earlier, later] = near
         copy = near == 0.0

@@ -4,7 +4,9 @@ Every dataclass in ``hdtest.__all__`` is an input, whose fields are checked
 against their annotations when it is built, or an output listed in
 :data:`EXEMPT`. Each field of an input gets the same corpus of bad or
 borderline values: each must be accepted, or refused with a one-line
-``TypeError`` or ``ValueError`` whose message names the field.
+``TypeError`` or ``ValueError`` whose message names the field. Each argument
+of the package's own types that an entry point of :data:`ARGUMENTS` takes is
+refused by name when it holds another type.
 """
 
 import dataclasses
@@ -17,7 +19,11 @@ import pytest
 
 import hdtest
 from hdtest import (GaussianProcessSpec, KernelSpec, LabeledSample, MomentConstants,
-                    PermutationPlan, RealDataset, ScenarioConfig, StudyConfig)
+                    PermutationPlan, RealDataset, ScenarioConfig, StudyConfig,
+                    discrepancy_report, estimate_moment_constants, permutation_test,
+                    power_limit_mc)
+from hdtest.diagnostics import diagnose
+from hdtest.harness import multi_kernel_rejections
 
 #: public dataclasses the package builds as results, never from user input
 EXEMPT = {"TestResult", "DiscrepancyReport", "KernelMatrix", "PowerTable"}
@@ -64,6 +70,7 @@ def _corpus(cls, name: str) -> dict:
     if typing.get_type_hints(cls)[name] is np.ndarray:
         # every corpus value as the entries of a matrix of the valid shape
         values.update({f"entries {label}": [[v] * 2] * 4 for label, v in CORPUS.items()})
+        values["ragged rows"] = [[1.0, 2.0], [1.0]] * 2
     return values
 
 
@@ -101,3 +108,54 @@ def test_field_accepts_or_refuses_by_name(cls, name):
     for label, plain in PLAIN.items():
         numpy_err, plain_err = outcomes[label], _outcome(cls, name, plain)
         assert type(numpy_err) is type(plain_err), (label, numpy_err, plain_err)
+
+
+_SAMPLE = LabeledSample(np.arange(24.0).reshape(8, 3) % 5, 4, 4)
+
+#: valid arguments of each entry point that takes arguments of the package's types
+ARGUMENTS = {
+    permutation_test: dict(sample=_SAMPLE, spec=KernelSpec("l2"), plan=PermutationPlan(count=30)),
+    multi_kernel_rejections: dict(sample=_SAMPLE, kernels=(KernelSpec("l1"),), alpha=0.05,
+                                  permutations=30, seed=0),
+    discrepancy_report: dict(sample=_SAMPLE),
+    estimate_moment_constants: dict(sample=_SAMPLE, spec=KernelSpec("l1")),
+    diagnose: dict(sample=_SAMPLE, spec=KernelSpec("l1")),
+    power_limit_mc: dict(gp=GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0), alpha=0.05,
+                         plan=PermutationPlan(mode="exact"), draws=1000),
+}
+
+#: values of another type than any argument of the package's types, by label
+WRONG = {"None": None, '"l2"': "l2", "an ndarray": _SAMPLE.data, "a dict": {"l2": 1}}
+
+
+def _package_type(hint):
+    """The package class ``hint`` names, alone, in a tuple or with None; else None."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is tuple or len(args) == 1:
+        hint = args[0]
+    return hint if getattr(hint, "__module__", "").startswith("hdtest.") else None
+
+
+def _package_arguments(fn) -> list:
+    return [name for name, hint in typing.get_type_hints(fn).items()
+            if name != "return" and _package_type(hint)]
+
+
+def test_every_entry_point_takes_a_package_type():
+    for fn, arguments in ARGUMENTS.items():
+        assert _package_arguments(fn), fn.__name__
+        fn(**arguments)
+
+
+@pytest.mark.parametrize("fn, name", [
+    pytest.param(fn, name, id=f"{fn.__name__}.{name}")
+    for fn in ARGUMENTS for name in _package_arguments(fn)
+])
+def test_argument_of_a_package_type_is_refused_by_name(fn, name):
+    optional = type(None) in typing.get_args(typing.get_type_hints(fn)[name])
+    for label, value in WRONG.items():
+        if value is None and optional:
+            continue
+        with pytest.raises(TypeError, match=rf"^{name} must ") as err:
+            fn(**{**ARGUMENTS[fn], name: value})
+        assert "\n" not in str(err.value), label

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from scipy.spatial.distance import pdist, squareform
 from hdtest import statistic
 from hdtest.datagen import ScenarioConfig, generate
 from hdtest.kernels import FAMILIES, KernelSpec
-from hdtest.permutation import PermutationPlan, plan_masks, sample_masks
+from hdtest.permutation import PermutationPlan, permutation_test, plan_masks, sample_masks
 from hdtest.statistic import (
     KernelMatrix,
     LabeledSample,
@@ -383,6 +386,74 @@ class TestKernelStatistics:
         kernels = tuple(KernelSpec(f) for f in FAMILIES)
         kernel_matrix_stack(s, kernels)
         assert sorted(calls) == [False, True]
+
+
+class TestKeptDistances:
+    """``psibar_matrix`` returns its last matrix of a kind again for the same
+    read-only array that owns its memory, and builds anew for any other."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The kind of each matrix built below the public function."""
+        kinds, build = [], statistic._averaged_distances
+
+        def counting(data, squared):
+            kinds.append(squared)
+            return build(data, squared)
+
+        monkeypatch.setattr(statistic, "_averaged_distances", counting)
+        return kinds
+
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_a_kept_matrix_is_a_fresh_build(self, builds, squared):
+        data = generate(ScenarioConfig("3ii", p=50, n=6, m=6, beta=0.5, seed=2)).data
+        kept = psibar_matrix(data, squared)
+        assert psibar_matrix(data, squared) is kept and builds == [squared]
+        assert not kept.flags.writeable
+        np.testing.assert_array_equal(kept, psibar_matrix(data.copy(), squared))
+
+    @pytest.mark.parametrize("squared", [True, False])
+    def test_an_array_changed_in_place_gets_its_new_distances(self, squared):
+        data = np.random.default_rng(5).standard_normal((6, 4))
+        for freeze in (False, True):  # written while writable, or made writable again
+            data.flags.writeable = not freeze
+            before = psibar_matrix(data, squared).copy()
+            data.flags.writeable = True
+            data[0] += 1.0
+            after = psibar_matrix(data, squared)
+            np.testing.assert_array_equal(after, psibar_matrix(data.copy(), squared))
+            assert not np.array_equal(after, before)
+
+    def test_a_read_only_view_is_built_on_every_call(self, builds):
+        base = np.random.default_rng(6).standard_normal((6, 4))
+        view = base.view()
+        view.flags.writeable = False
+        psibar_matrix(view, True)
+        base[0] += 1.0
+        np.testing.assert_array_equal(psibar_matrix(view, True), psibar_matrix(base.copy(), True))
+        assert builds == [True] * 3
+
+    def test_four_kernels_on_a_generated_sample_build_twice(self, builds):
+        s = generate(ScenarioConfig("3ii", p=50, n=6, m=6, beta=0.5))
+        for spec in _KERNELS:
+            permutation_test(s, spec, plan=PermutationPlan(count=50))
+        assert sorted(builds) == [False, True]
+
+    def test_a_kept_matrix_is_freed_with_its_array(self):
+        s = generate(ScenarioConfig("1", p=5, n=3, m=3))
+        data = s.data
+        kept = weakref.ref(psibar_matrix(data, True))
+        assert kept() is not None
+        del s, data
+        gc.collect()
+        assert kept() is None
+
+    def test_only_an_array_of_its_own_is_made_read_only(self):
+        assert not generate(ScenarioConfig("1", p=5, n=3, m=3)).data.flags.writeable
+        held = np.zeros((6, 2))
+        s = LabeledSample(held, 3, 3)
+        assert held.flags.writeable and np.shares_memory(held, s.data)
+        assert not LabeledSample(held.tolist(), 3, 3).data.flags.writeable
 
 
 class TestPermuteRows:
