@@ -20,6 +20,7 @@ relabellings, and leave before the rest are multiplied.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -56,6 +57,11 @@ def _check_nonnegative(obj, what: str, *names: str) -> None:
             raise ValueError(f"{what} must be finite and nonnegative, got {name}={value}")
 
 
+def _check_constants(c: MomentConstants, spec: KernelSpec) -> None:
+    _check_type(MomentConstants, c=c)
+    _check_type(KernelSpec, spec=spec)
+
+
 def _class_pairs(n: int, m: int, w: int) -> tuple[tuple[int, int, int], ...]:
     """Pairs of each original block (rows X, Y, cross) that a relabelling
     swapping w of X's positions with w of Y's puts in the (cross, X, Y)
@@ -86,11 +92,13 @@ def f_w(n: int, m: int, w: int) -> float:
 
 def mean_gap(c: MomentConstants, spec: KernelSpec) -> float:
     """2 phi(e_xy) - phi(e_x) - phi(e_y), the unpermuted limiting mean."""
+    _check_constants(c, spec)
     return 2.0 * phi(spec, c.e_xy) - phi(spec, c.e_x) - phi(spec, c.e_y)
 
 
 def mu_nw(n: int, m: int, w: int, c: MomentConstants, spec: KernelSpec) -> float:
     """Limiting mean of the statistic under a permutation of class w."""
+    _check_constants(c, spec)
     return mean_gap(c, spec) * f_w(n, m, w)
 
 
@@ -98,6 +106,7 @@ def sigma2_nw(n: int, m: int, w: int, c: MomentConstants, spec: KernelSpec) -> f
     """Limiting variance of the (sqrt(p)-scaled) statistic for class w: per
     original block, v phi'(e)^2 times the squared pair weights summed over
     the block's pairs as class w relabels them."""
+    _check_constants(c, spec)
     blocks = zip(_class_pairs(n, m, w), (c.v_x, c.v_y, c.v_xy), (c.e_x, c.e_y, c.e_xy))
     # every term is nonnegative, so float sums lose nothing to cancellation
     squares = [float(wt) ** 2 for wt in pair_weights(n, m)]
@@ -117,6 +126,7 @@ def hypergeom_pmf(n: int, m: int, w: int) -> Fraction:
 def sigma2_hdmss(rho: float, c: MomentConstants, spec: KernelSpec) -> float:
     """Limiting variance of sqrt(nmp) times the randomized statistic when
     both sample sizes grow with n/m -> rho."""
+    _check_constants(c, spec)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
     gxy = phi_prime(spec, c.e_xy)
@@ -135,6 +145,7 @@ def mixture_normal_cdf(a: float, n: int, m: int, c: MomentConstants, spec: Kerne
     Zero-variance components contribute a point mass at 0, i.e. an
     indicator of a >= 0.
     """
+    _check_constants(c, spec)
     out = 0.0
     for w in range(min(n, m) + 1):
         pw = float(hypergeom_pmf(n, m, w))
@@ -166,12 +177,18 @@ class GaussianProcessSpec:
 
 #: most entries of one block of coefficients (pairs x relabellings) in
 #: :func:`power_limit_mc`, and of one batch's standard normals (draws x
-#: pairs) and statistics (draws x relabellings) when each batch builds them
+#: pairs) and of one chunk's statistics (draws x relabellings) when each
+#: batch builds the coefficients, or when the coefficients are built once
+#: and a batch holds :data:`_MIN_DRAWS` draws
 _BLOCK_ENTRIES = 2**20
 
 #: most entries of one batch's normals and statistics when the coefficients
-#: are built once
+#: are built once, unless a block holds those of :data:`_MIN_DRAWS` draws
 _BATCH_ENTRIES = 2**16
+
+#: the fewest draws :func:`power_limit_mc` makes, and the fewest a batch
+#: holds when a block holds their normals and each chunk's statistics
+_MIN_DRAWS = 1000
 
 
 def _pair_layout(gp: GaussianProcessSpec):
@@ -179,10 +196,16 @@ def _pair_layout(gp: GaussianProcessSpec):
     standard deviation. The cross block comes first, then the upper triangles
     of the X and Y blocks, with no entries for a zero-variance block."""
     n, m, size = gp.n, gp.m, gp.n + gp.m
-    iu_x, iu_y = np.triu_indices(n, 1), np.triu_indices(m, 1)
-    rows = np.concatenate([np.repeat(np.arange(n), m), iu_x[0], n + iu_y[0]])
-    cols = np.concatenate([np.tile(np.arange(n, size), n), iu_x[1], n + iu_y[1]])
-    sd = np.repeat(np.sqrt([gp.v_xy, gp.v_x, gp.v_y]), [n * m, iu_x[0].size, iu_y[0].size])
+    # the pairs as runs of consecutive columns, one per row: each row of X
+    # against all of Y, then each row of X, and of Y, against the later rows
+    # of its own group
+    run_rows = np.concatenate([np.arange(n), np.arange(size)])
+    firsts = np.concatenate([np.full(n, n), run_rows[n:] + 1])
+    lengths = np.repeat([size, n, size], [n, n, m]) - firsts
+    rows = np.repeat(run_rows, lengths)
+    # a pair's column is its index less its run's start, plus the run's first
+    cols = np.arange(rows.size) + np.repeat(firsts - np.cumsum(lengths) + lengths, lengths)
+    sd = np.repeat(np.sqrt([gp.v_xy, gp.v_x, gp.v_y]), [n * m, math.comb(n, 2), math.comb(m, 2)])
     keep = sd > 0
     return rows[keep], cols[keep], sd[keep]
 
@@ -223,9 +246,11 @@ def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int):
     first and double up to a block's width, so that draws decided early
     leave the decision loop before the later chunks are multiplied, or
     built. When all the coefficients fit in one block, they are built once
-    and a batch's normals and statistics hold at most
-    :data:`_BATCH_ENTRIES`; otherwise each batch builds them chunk by chunk
-    and holds up to :data:`_BLOCK_ENTRIES` (a batch is at least one draw).
+    and a batch holds :data:`_MIN_DRAWS` draws if a block holds that many
+    draws' normals and each chunk's statistics, else as many as keep its
+    normals and statistics within :data:`_BATCH_ENTRIES`; otherwise each
+    batch builds them chunk by chunk and holds up to :data:`_BLOCK_ENTRIES`
+    (a batch is at least one draw).
     """
     distinct, counts = _distinct_relabellings(masks)
     layout = _pair_layout(gp)
@@ -242,9 +267,17 @@ def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int):
             start, step = stop, min(2 * step, width)
 
     built = list(coefficient_chunks()) if width == len(distinct) else None
-    # a batch that builds the coefficients anew is as large as a block, so
-    # that each build serves as many draws as that memory allows
-    size = max(1, (_BATCH_ENTRIES if built else _BLOCK_ENTRIES) // max(pairs, width))
+    if built is None:
+        # a batch that builds the coefficients anew is as large as a block, so
+        # that each build serves as many draws as that memory allows
+        size = _BLOCK_ENTRIES // max(pairs, width)
+    else:
+        size = _BATCH_ENTRIES // max(pairs, width)
+        if _MIN_DRAWS * max(pairs, max(chunk[1].size for chunk in built)) <= _BLOCK_ENTRIES:
+            # each pass of the decision loop costs the same few calls for any
+            # number of draws, so a call of the fewest draws makes one batch
+            size = max(size, _MIN_DRAWS)
+    size = max(1, size)
     for start in range(0, draws, size):
         yield (min(size, draws - start), layout[2].size), built or coefficient_chunks()
 
@@ -274,7 +307,10 @@ def power_limit_mc(
     is one GEMM of its normals with each chunk of coefficients; the chunks
     start narrow and double up to a block, and a block of coefficients, a
     batch's normals and a block's statistics each hold at most a fixed
-    number of entries (:data:`_BLOCK_ENTRIES`, :data:`_BATCH_ENTRIES`). The
+    number of entries (:data:`_BLOCK_ENTRIES`, :data:`_BATCH_ENTRIES`).
+    Coefficients built once serve batches of at least the
+    :data:`_MIN_DRAWS` draws a call makes whenever a block holds those
+    draws' normals and each chunk's statistics. The
     studies' sequential rule takes the count chunk by chunk, so a draw
     leaves its batch once its decision is fixed, most after the first
     chunks, and no chunk is built once none is left. Each statistic is a dot
@@ -285,8 +321,10 @@ def power_limit_mc(
     _check_type(GaussianProcessSpec, gp=gp)
     _check_type(PermutationPlan, plan=plan)
     _check_type(int, draws=draws, seed=seed)
-    if draws < 1000:
-        raise ValueError("need at least 1000 draws")
+    if draws < _MIN_DRAWS:
+        raise ValueError(f"need at least {_MIN_DRAWS} draws")
+    if draws > sys.maxsize:
+        raise ValueError(f"draws must be at most {sys.maxsize}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     _check_alpha(alpha)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -48,6 +49,8 @@ def _check_study(kernels, alpha: float, replications: int, permutations: int, se
         raise ValueError("replications must be >= 1")
     if permutations < 20:
         raise ValueError("need at least 20 permutations")
+    if permutations > sys.maxsize:
+        raise ValueError(f"permutations must be at most {sys.maxsize}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
 

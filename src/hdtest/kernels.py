@@ -114,6 +114,7 @@ class KernelSpec:
 
 def phi(spec: KernelSpec, t):
     """Outer transform applied to the averaged distance; works elementwise."""
+    _check_type(KernelSpec, spec=spec)
     t = np.asarray(t, dtype=float)
     if spec.family == "l2":
         out = np.sqrt(t)
@@ -134,6 +135,7 @@ def phi_prime(spec: KernelSpec, t: float) -> float:
     For the l2 and laplacian families the derivative is singular at 0, so
     t must be strictly positive there.
     """
+    _check_type(KernelSpec, spec=spec)
     if spec.family == "l2":
         if t <= 0:
             raise ValueError("phi' for l2 requires t > 0")

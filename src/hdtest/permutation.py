@@ -25,6 +25,7 @@ distinct relabellings, each counted as often as it occurs among the masks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -48,8 +49,11 @@ class PermutationPlan:
         _check_fields(self)
         if self.mode not in ("exact", "monte-carlo"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "monte-carlo" and self.count < 1:
-            raise ValueError("count must be positive")
+        if self.mode == "monte-carlo":
+            if self.count < 1:
+                raise ValueError("count must be positive")
+            if self.count > sys.maxsize:  # a plan that would draw masks without end
+                raise ValueError(f"count must be at most {sys.maxsize}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

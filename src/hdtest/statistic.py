@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .kernels import KernelSpec, _check_fields, phi
+from .kernels import KernelSpec, _check_fields, _check_type, phi
 
 
 def _check_magnitude(data: np.ndarray, size: int) -> None:
@@ -192,6 +192,8 @@ def kernel_matrix_from_psibar(pb: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def build_kernel_matrix(sample: LabeledSample, spec: KernelSpec) -> KernelMatrix:
+    _check_type(LabeledSample, sample=sample)
+    _check_type(KernelSpec, spec=spec)
     pb = psibar_matrix(sample.data, spec.uses_squared_differences)
     return KernelMatrix(kernel_matrix_from_psibar(pb, spec), sample.n, sample.m)
 
@@ -270,10 +272,12 @@ def masked_statistics(values: np.ndarray, n: int, m: int, masks: np.ndarray) -> 
     return _coefficient(n, m) * _quadratic_forms(_u_centred(values), masks) + 0.0
 
 
-def kernel_matrix_stack(sample: LabeledSample, kernels) -> np.ndarray:
+def kernel_matrix_stack(sample: LabeledSample, kernels: tuple[KernelSpec, ...]) -> np.ndarray:
     """The (K, n+m, n+m) stack of the K ``kernels``' matrices of ``sample``.
     Each averaged-distance matrix the kernels need (squared or cityblock) is
     built once."""
+    _check_type(LabeledSample, sample=sample)
+    _check_type(tuple[KernelSpec, ...], kernels=kernels)
     kinds = dict.fromkeys(spec.uses_squared_differences for spec in kernels)
     pb = {squared: psibar_matrix(sample.data, squared) for squared in kinds}
     return np.stack([kernel_matrix_from_psibar(pb[spec.uses_squared_differences], spec)

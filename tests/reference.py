@@ -160,6 +160,19 @@ def distinct_relabellings_rowsort(masks: np.ndarray):
     return masks[first[order]], counts[order]
 
 
+def pair_layout_triu(gp: GaussianProcessSpec):
+    """The pair layout of ``power_limit_mc`` from ``np.triu_indices``: each
+    pair's row, column and standard deviation, the cross block row by row,
+    then the upper triangles of X and Y, less any zero-variance block."""
+    n, m, size = gp.n, gp.m, gp.n + gp.m
+    iu_x, iu_y = np.triu_indices(n, 1), np.triu_indices(m, 1)
+    rows = np.concatenate([np.repeat(np.arange(n), m), iu_x[0], n + iu_y[0]])
+    cols = np.concatenate([np.tile(np.arange(n, size), n), iu_x[1], n + iu_y[1]])
+    sd = np.repeat(np.sqrt([gp.v_xy, gp.v_x, gp.v_y]), [n * m, iu_x[0].size, iu_y[0].size])
+    keep = sd > 0
+    return rows[keep], cols[keep], sd[keep]
+
+
 def gaussian_pair_matrix(gp: GaussianProcessSpec, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix of limiting pair contributions: cross block i.i.d.
     N(0, v_xy), within-X block N(0, v_x), within-Y block N(0, v_y)."""

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from tests.reference import (
     limit_statistics_fsum,
     masked_pair_sums,
     mixture_normal_cdf_scipy,
+    pair_layout_triu,
     permutation_mean_square,
     power_limit_mc_loop,
     s_w_cardinality,
@@ -431,6 +433,13 @@ class TestPowerLimitMC:
         with pytest.raises(ValueError):
             power_limit_mc(gp, 0.05, PermutationPlan(mode="exact"), 100)
 
+    def test_draws_beyond_an_index_refused(self, monkeypatch):
+        # refused before any draw: no batch may be asked for
+        monkeypatch.setattr(asymptotics, "_limit_batches", None)
+        gp = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=rf"^draws must be at most {sys.maxsize}$"):
+            power_limit_mc(gp, 0.05, PermutationPlan(mode="exact"), sys.maxsize + 1)
+
     def test_exact_cap_enforced(self):
         # C(20, 10) = 184756 masks exceed the cap, as in permutation_test
         gp = GaussianProcessSpec(10, 10, 1.0, 1.0, 1.0)
@@ -547,11 +556,15 @@ class TestBatchedLimitMC:
             # n != m with a zero-variance X block, and a zero cross block
             ((4, 6, 1.0, 0.0, 2.0), PermutationPlan(mode="exact"), 1000, 11),
             ((5, 3, 0.0, 1.0, 2.0), PermutationPlan(mode="exact"), 1000, 12),
-            # several batches and a remainder
+            # several batches and a remainder: the block below holds the
+            # 10 x 10 plan's coefficients (190 pairs x 300 relabellings) but
+            # not 1000 draws' normals, so its batches hold 218 draws
             ((10, 10, 1.0, 1.0, 1.0), PermutationPlan(count=300, seed=3), 1000, 3),
         ],
     )
     def test_matches_per_draw_loop(self, monkeypatch, args, plan, draws, seed):
+        # every other case batches as under the default block
+        monkeypatch.setattr(asymptotics, "_BLOCK_ENTRIES", 2**17)
         gp = GaussianProcessSpec(*args)
         rate, se, loop_rejects = power_limit_mc_loop(gp, 0.05, plan, draws, seed=seed)
         estimate, rejects = _decisions(monkeypatch, gp, plan, draws, seed)
@@ -564,6 +577,43 @@ class TestBatchedLimitMC:
         ref, scale = limit_statistics_fsum(gp, distinct, draws, seed)
         pairs = asymptotics._pair_layout(gp)[2].size
         assert np.all(np.abs(stats - ref) <= gamma(pairs + 2) * scale)
+
+    @pytest.mark.parametrize("entries, draws, sizes, built", [
+        # the default bounds: one batch of the 1000 draws, then batches of
+        # 1000 and a remainder, each with the same coefficients
+        pytest.param({}, 1000, [1000], True, id="one batch"),
+        pytest.param({}, 2500, [1000, 1000, 500], True, id="built-once batches"),
+        # coefficients in blocks of 91 relabellings, built for each batch of
+        # 45 draws, whatever the bound of built-once batches
+        pytest.param({"_BLOCK_ENTRIES": 2**12, "_BATCH_ENTRIES": 2**8}, 1000,
+                     [45] * 22 + [10], False, id="rebuilt per batch"),
+    ])
+    def test_batching_never_moves_a_decision(self, monkeypatch, entries, draws, sizes, built):
+        # n != m exact: 210 relabellings of 45 pairs
+        for name, value in entries.items():
+            monkeypatch.setattr(asymptotics, name, value)
+        gp, plan, seed = GaussianProcessSpec(4, 6, 2.0, 1.0, 0.5), PermutationPlan(mode="exact"), 8
+        batches = list(asymptotics._limit_batches(gp, plan_masks(plan, gp.n, gp.m), draws))
+        assert [shape for shape, _ in batches] == [(size, 45) for size in sizes]
+        assert all((chunks is batches[0][1]) is built for _, chunks in batches[1:])
+        rate, se, loop_rejects = power_limit_mc_loop(gp, 0.05, plan, draws, seed=seed)
+        estimate, rejects = _decisions(monkeypatch, gp, plan, draws, seed)
+        assert np.array_equal(rejects, loop_rejects)
+        assert estimate == (rate, se)
+
+    @pytest.mark.parametrize("args", [
+        (3, 3, 1.0, 1.0, 1.0),
+        (4, 6, 2.0, 1.0, 0.5),  # n < m
+        (7, 2, 2.0, 1.0, 0.5),  # n > m, with a one-pair Y block
+        (4, 6, 1.0, 0.0, 2.0),  # a zero-variance X block
+        (5, 3, 0.0, 1.0, 2.0),  # a zero-variance cross block
+        (5, 3, 1.0, 1.0, 0.0),  # a zero-variance Y block
+    ])
+    def test_pair_layout_matches_triu_indices(self, args):
+        gp = GaussianProcessSpec(*args)
+        for got, expected in zip(asymptotics._pair_layout(gp), pair_layout_triu(gp)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
         "args, plan, block_entries, blocks",
@@ -635,16 +685,19 @@ class TestBatchedLimitMC:
             assert abs(mean_square - closed) <= 1e-13 * closed
 
     def test_batches_bound_memory(self):
-        # a large exact plan, whose coefficients take several blocks, and a
-        # large-N Monte Carlo plan, whose batches hold few draws; the bound,
-        # three and a half arrays of a block's entries, was fixed before
-        # measuring
+        # a large exact plan, whose coefficients take several blocks, a
+        # large-N Monte Carlo plan, whose batches hold few draws, and a plan
+        # whose coefficients are built once for batches of 1000 draws; the
+        # bound, three and a half arrays of a block's entries, was fixed
+        # before measuring
         bound = 3.5 * 8 * asymptotics._BLOCK_ENTRIES
-        for gp, plan in ((GaussianProcessSpec(7, 9, 1.0, 1.0, 1.0), PermutationPlan(mode="exact")),
-                         (GaussianProcessSpec(60, 60, 1.0, 1.0, 1.0), PermutationPlan(count=300))):
+        for gp, plan, draws in (
+                (GaussianProcessSpec(7, 9, 1.0, 1.0, 1.0), PermutationPlan(mode="exact"), 1000),
+                (GaussianProcessSpec(60, 60, 1.0, 1.0, 1.0), PermutationPlan(count=300), 1000),
+                (GaussianProcessSpec(20, 20, 1.0, 1.0, 1.0), PermutationPlan(count=1000), 2000)):
             tracemalloc.start()
             try:
-                power_limit_mc(gp, 0.05, plan, 1000)
+                power_limit_mc(gp, 0.05, plan, draws)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

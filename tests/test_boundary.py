@@ -22,8 +22,12 @@ from hdtest import (GaussianProcessSpec, KernelSpec, LabeledSample, MomentConsta
                     PermutationPlan, RealDataset, ScenarioConfig, StudyConfig,
                     discrepancy_report, estimate_moment_constants, permutation_test,
                     power_limit_mc)
+from hdtest.asymptotics import (mean_gap, mixture_normal_cdf, mu_nw, sigma2_hdmss,
+                                sigma2_nw)
 from hdtest.diagnostics import diagnose
 from hdtest.harness import multi_kernel_rejections
+from hdtest.kernels import phi, phi_prime
+from hdtest.statistic import build_kernel_matrix, kernel_matrix_stack
 
 #: public dataclasses the package builds as results, never from user input
 EXEMPT = {"TestResult", "DiscrepancyReport", "KernelMatrix", "PowerTable"}
@@ -111,6 +115,7 @@ def test_field_accepts_or_refuses_by_name(cls, name):
 
 
 _SAMPLE = LabeledSample(np.arange(24.0).reshape(8, 3) % 5, 4, 4)
+_CONSTANTS = MomentConstants(**VALID[MomentConstants])
 
 #: valid arguments of each entry point that takes arguments of the package's types
 ARGUMENTS = {
@@ -122,6 +127,15 @@ ARGUMENTS = {
     diagnose: dict(sample=_SAMPLE, spec=KernelSpec("l1")),
     power_limit_mc: dict(gp=GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0), alpha=0.05,
                          plan=PermutationPlan(mode="exact"), draws=1000),
+    mean_gap: dict(c=_CONSTANTS, spec=KernelSpec("l2")),
+    mu_nw: dict(n=3, m=3, w=1, c=_CONSTANTS, spec=KernelSpec("l2")),
+    sigma2_nw: dict(n=3, m=3, w=1, c=_CONSTANTS, spec=KernelSpec("l2")),
+    sigma2_hdmss: dict(rho=1.0, c=_CONSTANTS, spec=KernelSpec("l1")),
+    mixture_normal_cdf: dict(a=0.0, n=3, m=3, c=_CONSTANTS, spec=KernelSpec("gaussian")),
+    phi: dict(spec=KernelSpec("l2"), t=1.0),
+    phi_prime: dict(spec=KernelSpec("laplacian"), t=1.0),
+    build_kernel_matrix: dict(sample=_SAMPLE, spec=KernelSpec("l2")),
+    kernel_matrix_stack: dict(sample=_SAMPLE, kernels=(KernelSpec("l1"), KernelSpec("l2"))),
 }
 
 #: values of another type than any argument of the package's types, by label

@@ -206,6 +206,9 @@ class TestPowerlimit:
         (["--n", "1", "--m", "3"], "n, m >= 2"),
         (["--n", "3", "--m", "3", "--v-x", "nan"], "variances must be finite"),
         (["--n", "3", "--m", "3", "--v-xy", "inf"], "variances must be finite"),
+        # counts that would draw without end, refused before any draw
+        (["--n", "3", "--m", "3", "--draws", str(10**20)], "draws must be at most"),
+        (["--n", "3", "--m", "3", "--perms", str(10**20)], "count must be at most"),
     ])
     def test_user_errors_exit_with_one_line(self, argv, message):
         with pytest.raises(SystemExit, match=message) as exc:
@@ -621,6 +624,10 @@ class TestErrorBoundary:
          "--sizes: 'x' is not an integer"),
         (["test", "{csv}", "--n", "10", "--kernel", "gaussian", "--gamma", "inf"],
          "bandwidth must be positive and finite"),
+        # counts that would draw masks without end, refused before any draw
+        (["test", "{csv}", "--n", "10", "--perms", str(10**20)], "count must be at most"),
+        (["realdata", "--file", "{tsv}", "--sizes", "4", "--perms", str(10**20),
+          "--out", "{out}"], "permutations must be at most"),
     ])
     def test_value_error_exits_with_one_line(self, files, argv, message):
         argv = [arg.format(**files) for arg in argv]

@@ -3,6 +3,7 @@ import functools
 import importlib
 import inspect
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -38,6 +39,11 @@ class TestStudyConfig:
             StudyConfig(scenarios=(), permutations=50)
         with pytest.raises(ValueError):
             StudyConfig(scenarios=scen, replications=0)
+
+    def test_permutations_beyond_an_index_refused(self):
+        scen = (ScenarioConfig(example="1", p=10, n=5, m=5),)
+        with pytest.raises(ValueError, match=rf"^permutations must be at most {sys.maxsize}$"):
+            StudyConfig(scenarios=scen, permutations=sys.maxsize + 1)
 
     def test_negative_seed_refused(self):
         scen = (ScenarioConfig(example="1", p=10, n=5, m=5),)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from itertools import permutations as iter_permutations
 
@@ -192,6 +193,13 @@ class TestMaskChunks:
         # a plan of no masks is refused when it is made, before any chunk
         with pytest.raises(ValueError, match="count must be positive"):
             PermutationPlan(count=0)
+
+    def test_count_beyond_an_index_is_refused(self):
+        # such a plan would draw masks without end; it is refused when it is
+        # made, and the largest count allowed is only built, never run
+        with pytest.raises(ValueError, match=rf"^count must be at most {sys.maxsize}$"):
+            PermutationPlan(count=sys.maxsize + 1)
+        assert PermutationPlan(count=sys.maxsize).count == sys.maxsize
 
     def test_large_plan_bounds_memory(self):
         # all S masks at once would hold four arrays of S x N entries (over
