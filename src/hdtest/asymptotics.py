@@ -14,7 +14,12 @@ pair weights as coefficients, so the Monte Carlo evaluates its draws as one
 GEMM with the coefficients of each distinct relabelling, decided in the
 studies' chunked decision loop. The relabellings reach that loop in chunks
 whose widths start at 64 and double: most draws accept after a few dozen
-relabellings, and leave before the rest are multiplied.
+relabellings, and leave before the rest are multiplied. The draws come in
+antithetic pairs: a standard normal vector z gives one draw and -z the next,
+since z and -z are equally likely. A pair's two statistics are negations, so
+its two counts of values reaching the observed one sum to at least S + 1, and
+for alpha <= 1/2 the two never both reject: the limiting power is then at
+most 1/2.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ def _class_pairs(n: int, m: int, w: int) -> tuple[tuple[int, int, int], ...]:
     """Pairs of each original block (rows X, Y, cross) that a relabelling
     swapping w of X's positions with w of Y's puts in the (cross, X, Y)
     blocks of the statistic."""
+    _check_type(int, n=n, m=m, w=w)
     if n < 2 or m < 2:
         raise ValueError("need n, m >= 2")
     if not 0 <= w <= min(n, m):
@@ -118,6 +124,7 @@ def hypergeom_pmf(n: int, m: int, w: int) -> Fraction:
     """P(W = w) for the class index W = N(Gamma) of a uniformly random
     permutation: C(m, w) C(n, n-w) / C(n+m, n), exact; 0 off the support
     0..min(n, m)."""
+    _check_type(int, n=n, m=m, w=w)
     if not 0 <= w <= min(n, m):
         return Fraction(0)
     return Fraction(math.comb(m, w) * math.comb(n, n - w), math.comb(n + m, n))
@@ -127,6 +134,7 @@ def sigma2_hdmss(rho: float, c: MomentConstants, spec: KernelSpec) -> float:
     """Limiting variance of sqrt(nmp) times the randomized statistic when
     both sample sizes grow with n/m -> rho."""
     _check_constants(c, spec)
+    _check_type(float, rho=rho)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
     gxy = phi_prime(spec, c.e_xy)
@@ -146,6 +154,8 @@ def mixture_normal_cdf(a: float, n: int, m: int, c: MomentConstants, spec: Kerne
     indicator of a >= 0.
     """
     _check_constants(c, spec)
+    _check_type(float, a=a)
+    _check_type(int, n=n, m=m)
     out = 0.0
     for w in range(min(n, m) + 1):
         pw = float(hypergeom_pmf(n, m, w))
@@ -249,8 +259,12 @@ def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int):
     and a batch holds :data:`_MIN_DRAWS` draws if a block holds that many
     draws' normals and each chunk's statistics, else as many as keep its
     normals and statistics within :data:`_BATCH_ENTRIES`; otherwise each
-    batch builds them chunk by chunk and holds up to :data:`_BLOCK_ENTRIES`
-    (a batch is at least one draw).
+    batch builds them chunk by chunk and holds up to :data:`_BLOCK_ENTRIES`.
+    Every batch but the last holds an even number of draws, rounded down
+    and at least 2, so that each antithetic pair of draws
+    (:func:`_antithetic_normals`) lies in one batch: the pairs, and so the
+    rejection count, never depend on the batch sizes, and only an odd last
+    draw is unpaired.
     """
     distinct, counts = _distinct_relabellings(masks)
     layout = _pair_layout(gp)
@@ -277,9 +291,20 @@ def _limit_batches(gp: GaussianProcessSpec, masks: np.ndarray, draws: int):
             # each pass of the decision loop costs the same few calls for any
             # number of draws, so a call of the fewest draws makes one batch
             size = max(size, _MIN_DRAWS)
-    size = max(1, size)
+    size = max(2, size - size % 2)
     for start in range(0, draws, size):
         yield (min(size, draws - start), layout[2].size), built or coefficient_chunks()
+
+
+def _antithetic_normals(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """A batch's standard normals (draws x pairs) in antithetic pairs: the
+    first ceil(draws/2) rows drawn, and the rest their negations in the same
+    order, filled in place; an odd batch's last drawn row has no negation."""
+    normals = np.empty(shape)
+    half = (shape[0] + 1) // 2
+    rng.standard_normal(out=normals[:half])
+    np.negative(normals[:shape[0] - half], out=normals[half:])
+    return normals
 
 
 def power_limit_mc(
@@ -293,7 +318,9 @@ def power_limit_mc(
 
     A draw is one standard normal per pair of the cross, within-X and
     within-Y blocks, scaled by its block's standard deviation (a
-    zero-variance block draws none). Under a relabelling the limit
+    zero-variance block draws none). Draws come in antithetic pairs: draw
+    2j is a standard normal vector z_j and draw 2j+1 is -z_j, which is as
+    likely; an odd last draw is z_j alone. Under a relabelling the limit
     statistic is linear in these values: pair k contributes its value times
     the exact :func:`~hdtest.statistic.pair_weights` entry of its class
     (cross, within X, within Y) under the relabelling. A draw rejects by the
@@ -316,6 +343,17 @@ def power_limit_mc(
     chunks, and no chunk is built once none is left. Each statistic is a dot
     product of the draw's normals with its coefficients, accurate to its
     length's rounding bound in any summation order.
+
+    The estimate is the share of draws that reject. A pair's statistics are
+    negations, so its two counts of values reaching the observed one sum to
+    at least S + 1: for alpha <= 1/2 (k <= S/2) the two draws never both
+    reject, so the estimate is at most ceil(draws/2) / draws, and the
+    limiting power at most 1/2. The standard error is
+    sqrt((rate (1 - rate) + both / pairs) / draws), with ``both`` the pairs
+    whose two draws reject. For alpha <= 1/2 ``both`` is 0 and this is the
+    independent-draws formula, which bounds the pairs' true standard error
+    sqrt(p (1 - 2p) / draws); for alpha > 1/2 the added share of pairs that
+    reject twice keeps it a bound.
     Returns (estimate, standard error).
     """
     _check_type(GaussianProcessSpec, gp=gp)
@@ -330,12 +368,15 @@ def power_limit_mc(
     _check_alpha(alpha)
     masks = plan_masks(plan, gp.n, gp.m)
     rng = np.random.default_rng(seed)
-    rejections = 0
+    rejections = both = 0
     for shape, blocks in _limit_batches(gp, masks, draws):
         # only the loop holds the normals, so narrowing them frees the rest
-        rejections += int(np.count_nonzero(_sequential_rejections(
-            rng.standard_normal(shape), blocks, lambda z, block: (z @ block[0], block[1]),
-            alpha, len(masks))))
+        rejects = _sequential_rejections(
+            _antithetic_normals(rng, shape), blocks, lambda z, block: (z @ block[0], block[1]),
+            alpha, len(masks))
+        half = (shape[0] + 1) // 2
+        rejections += int(np.count_nonzero(rejects))
+        both += int(np.count_nonzero(rejects[:shape[0] - half] & rejects[half:]))
     rate = rejections / draws
-    se = math.sqrt(rate * (1.0 - rate) / draws)
+    se = math.sqrt((rate * (1.0 - rate) + both / (draws // 2)) / draws)
     return rate, se

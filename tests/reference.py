@@ -197,18 +197,21 @@ def gaussian_pair_matrix(gp: GaussianProcessSpec, rng: np.random.Generator) -> n
 def power_limit_mc_loop(
     gp: GaussianProcessSpec, alpha: float, plan: PermutationPlan, draws: int, seed: int = 0
 ):
-    """``power_limit_mc`` one draw at a time: one pair matrix, one masked
-    GEMM and one ``decide`` per draw. Returns (estimate, standard error,
-    each draw's decision)."""
+    """``power_limit_mc`` one draw at a time: one pair matrix per antithetic
+    pair, draw 2j its matrix g and draw 2j+1 its negation -g (an odd last
+    draw is g alone), and one masked GEMM and one ``decide`` per draw.
+    Returns (estimate, standard error, each draw's decision)."""
     n, m = gp.n, gp.m
     masks = plan_masks(plan, n, m)
     rng = np.random.default_rng(seed)
     rejects = np.empty(draws, dtype=bool)
     for d in range(draws):
-        g = gaussian_pair_matrix(gp, rng)
+        g = gaussian_pair_matrix(gp, rng) if d % 2 == 0 else -g
         rejects[d] = decide(masked_statistics(g, n, m, masks), alpha)[1]
     rate = int(np.count_nonzero(rejects)) / draws
-    se = math.sqrt(rate * (1.0 - rate) / draws)
+    pairs = draws // 2
+    both = int(np.count_nonzero(rejects[0:2 * pairs:2] & rejects[1:2 * pairs:2]))
+    se = math.sqrt((rate * (1.0 - rate) + both / pairs) / draws)
     return rate, se, rejects
 
 
@@ -221,7 +224,8 @@ def limit_statistics_fsum(gp: GaussianProcessSpec, masks: np.ndarray, draws: int
     weight of the pair's class under the mask times the standard deviation
     of the pair's block, each product rounded once. The normals are the
     stream of ``power_limit_mc``: :func:`gaussian_pair_matrix` at unit
-    variance in each block that ``gp`` draws.
+    variance in each block that ``gp`` draws, once per antithetic pair,
+    for draw 2j as drawn and for draw 2j+1 negated.
     """
     n, m = gp.n, gp.m
     unit = replace(gp, v_xy=float(gp.v_xy > 0), v_x=float(gp.v_x > 0), v_y=float(gp.v_y > 0))
@@ -234,7 +238,8 @@ def limit_statistics_fsum(gp: GaussianProcessSpec, masks: np.ndarray, draws: int
     rng = np.random.default_rng(seed)
     stats, scale = np.empty((draws, len(masks))), np.empty((draws, len(masks)))
     for d in range(draws):
-        terms = coefficients * gaussian_pair_matrix(unit, rng)[rows, cols]
+        values = gaussian_pair_matrix(unit, rng)[rows, cols] if d % 2 == 0 else -values
+        terms = coefficients * values
         stats[d] = list(map(math.fsum, terms.tolist()))
         scale[d] = np.abs(terms).sum(axis=1)
     return stats, scale

@@ -509,24 +509,35 @@ class TestPowerLimitMC:
             GaussianProcessSpec(3, 3, math.inf, 1.0, 1.0)
 
 
+def _in_draw_order(batch):
+    """A batch's rows, drawn normals first and then their negations, in
+    draw order: draw 2j is row j and draw 2j+1 row ceil(r/2) + j of its r."""
+    half = (len(batch) + 1) // 2
+    order = np.empty(len(batch), dtype=np.intp)
+    order[0::2], order[1::2] = np.arange(half), np.arange(half, len(batch))
+    return batch[order]
+
+
 def _engine(gp, plan, draws, seed):
     """The limit Monte Carlo's distinct relabellings of ``plan``, their
-    multiplicities and the (draws, relabellings) statistics, each batch's
-    normals drawn and each block's statistics taken as ``power_limit_mc``
-    draws and builds them."""
+    multiplicities and the (draws, relabellings) statistics in draw order,
+    each batch's normals drawn and each block's statistics taken as
+    ``power_limit_mc`` draws and builds them."""
     masks = plan_masks(plan, gp.n, gp.m)
     rng = np.random.default_rng(seed)
     stats = []
-    for shape, blocks in asymptotics._limit_batches(gp, masks, draws):
-        z = rng.standard_normal(shape)
-        stats.append(np.hstack([z @ coefficients for coefficients, _ in blocks]))
+    for (size, pairs), blocks in asymptotics._limit_batches(gp, masks, draws):
+        z = rng.standard_normal(((size + 1) // 2, pairs))
+        z = np.concatenate([z, -z[:size // 2]])
+        stats.append(_in_draw_order(np.hstack([z @ coefficients for coefficients, _ in blocks])))
     distinct, counts = asymptotics._distinct_relabellings(masks)
     return distinct, counts, np.concatenate(stats)
 
 
-def _decisions(monkeypatch, gp, plan, draws, seed):
+def _decisions(monkeypatch, gp, plan, draws, seed, alpha=0.05):
     """``power_limit_mc``'s (estimate, standard error) and each draw's
-    decision, as its one decision loop returned them batch by batch."""
+    decision in draw order, as its one decision loop returned them batch by
+    batch."""
     rejects = []
 
     def recorded(*args):
@@ -534,7 +545,8 @@ def _decisions(monkeypatch, gp, plan, draws, seed):
         return rejects[-1]
 
     monkeypatch.setattr(asymptotics, "_sequential_rejections", recorded)
-    return power_limit_mc(gp, 0.05, plan, draws, seed=seed), np.concatenate(rejects)
+    estimate = power_limit_mc(gp, alpha, plan, draws, seed=seed)
+    return estimate, np.concatenate([_in_draw_order(batch) for batch in rejects])
 
 
 class TestBatchedLimitMC:
@@ -584,9 +596,10 @@ class TestBatchedLimitMC:
         pytest.param({}, 1000, [1000], True, id="one batch"),
         pytest.param({}, 2500, [1000, 1000, 500], True, id="built-once batches"),
         # coefficients in blocks of 91 relabellings, built for each batch of
-        # 45 draws, whatever the bound of built-once batches
+        # 44 draws (a block's 45 rounded down to whole antithetic pairs),
+        # whatever the bound of built-once batches
         pytest.param({"_BLOCK_ENTRIES": 2**12, "_BATCH_ENTRIES": 2**8}, 1000,
-                     [45] * 22 + [10], False, id="rebuilt per batch"),
+                     [44] * 22 + [32], False, id="rebuilt per batch"),
     ])
     def test_batching_never_moves_a_decision(self, monkeypatch, entries, draws, sizes, built):
         # n != m exact: 210 relabellings of 45 pairs
@@ -600,6 +613,50 @@ class TestBatchedLimitMC:
         estimate, rejects = _decisions(monkeypatch, gp, plan, draws, seed)
         assert np.array_equal(rejects, loop_rejects)
         assert estimate == (rate, se)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    @pytest.mark.parametrize("args, plan", [
+        ((4, 4, 1.0, 3.0, 0.5), PermutationPlan(mode="exact")),  # n = m exact
+        ((3, 5, 2.0, 1.0, 0.5), PermutationPlan(count=300, seed=4)),  # n != m Monte Carlo
+        ((4, 6, 1.0, 0.0, 2.0), PermutationPlan(mode="exact")),  # a zero-variance X block
+    ])
+    def test_a_pair_never_rejects_twice(self, monkeypatch, alpha, args, plan):
+        # a draw's and its negation's counts of values reaching the observed
+        # one sum to at least S + 1, more than 2 floor(alpha S) for alpha <= 1/2
+        draws = 1001
+        (rate, se), rejects = _decisions(monkeypatch, GaussianProcessSpec(*args), plan, draws,
+                                         seed=13, alpha=alpha)
+        assert rejects.any()
+        assert not (rejects[0:-1:2] & rejects[1::2]).any()
+        assert rate <= math.ceil(draws / 2) / draws
+        assert se == math.sqrt(rate * (1.0 - rate) / draws)
+
+    def test_pairs_that_reject_twice_widen_the_error(self, monkeypatch):
+        # for alpha > 1/2 both draws of a pair may reject, and the standard
+        # error adds the share of such pairs to the independent-draws variance
+        gp, plan = GaussianProcessSpec(3, 3, 1.0, 1.0, 1.0), PermutationPlan(mode="exact")
+        draws = 1000
+        rate, se, loop_rejects = power_limit_mc_loop(gp, 0.9, plan, draws, seed=17)
+        estimate, rejects = _decisions(monkeypatch, gp, plan, draws, seed=17, alpha=0.9)
+        assert np.array_equal(rejects, loop_rejects)
+        assert estimate == (rate, se)
+        assert (rejects[0::2] & rejects[1::2]).any()
+        assert se > math.sqrt(rate * (1.0 - rate) / draws)
+
+    def test_odd_draws_pair_alike_in_any_batching(self, monkeypatch):
+        # 1001 draws: a batch of 1000 and the unpaired last draw, or 22
+        # batches of 44 and one of 33 that ends with it
+        gp, plan = GaussianProcessSpec(4, 6, 2.0, 1.0, 0.5), PermutationPlan(mode="exact")
+        draws = 1001
+        masks = plan_masks(plan, gp.n, gp.m)
+        results = []
+        for entries, sizes in ((asymptotics._BLOCK_ENTRIES, [1000, 1]), (2**12, [44] * 22 + [33])):
+            monkeypatch.setattr(asymptotics, "_BLOCK_ENTRIES", entries)
+            assert [size for (size, _), _ in asymptotics._limit_batches(gp, masks, draws)] == sizes
+            results.append(_decisions(monkeypatch, gp, plan, draws, seed=8, alpha=0.5))
+        (default, default_rejects), (rebuilt, rebuilt_rejects) = results
+        assert default == rebuilt
+        assert np.array_equal(default_rejects, rebuilt_rejects)
 
     @pytest.mark.parametrize("args", [
         (3, 3, 1.0, 1.0, 1.0),
@@ -676,8 +733,9 @@ class TestBatchedLimitMC:
         size = int(counts.sum())
         assert size == math.comb(gp.n + gp.m, gp.n)
         rng = np.random.default_rng(5)
-        for row in stats:
-            pair_matrix = gaussian_pair_matrix(gp, rng)
+        for d, row in enumerate(stats):
+            # draws 2j and 2j+1 share one pair matrix, negated for the second
+            pair_matrix = gaussian_pair_matrix(gp, rng) if d % 2 == 0 else -pair_matrix
             mean = math.fsum((counts * row).tolist()) / size
             mean_square = math.fsum((counts * row * row).tolist()) / size
             closed = permutation_mean_square(pair_matrix, gp.n, gp.m)

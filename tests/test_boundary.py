@@ -6,7 +6,8 @@ against their annotations when it is built, or an output listed in
 borderline values: each must be accepted, or refused with a one-line
 ``TypeError`` or ``ValueError`` whose message names the field. Each argument
 of the package's own types that an entry point of :data:`ARGUMENTS` takes is
-refused by name when it holds another type.
+refused by name when it holds another type, and so is each integer or real
+argument of a limit formula of :data:`NUMBERS` that holds no such number.
 """
 
 import dataclasses
@@ -22,8 +23,8 @@ from hdtest import (GaussianProcessSpec, KernelSpec, LabeledSample, MomentConsta
                     PermutationPlan, RealDataset, ScenarioConfig, StudyConfig,
                     discrepancy_report, estimate_moment_constants, permutation_test,
                     power_limit_mc)
-from hdtest.asymptotics import (mean_gap, mixture_normal_cdf, mu_nw, sigma2_hdmss,
-                                sigma2_nw)
+from hdtest.asymptotics import (f_w, hypergeom_pmf, mean_gap, mixture_normal_cdf, mu_nw,
+                                sigma2_hdmss, sigma2_nw)
 from hdtest.diagnostics import diagnose
 from hdtest.harness import multi_kernel_rejections
 from hdtest.kernels import phi, phi_prime
@@ -172,4 +173,34 @@ def test_argument_of_a_package_type_is_refused_by_name(fn, name):
             continue
         with pytest.raises(TypeError, match=rf"^{name} must ") as err:
             fn(**{**ARGUMENTS[fn], name: value})
+        assert "\n" not in str(err.value), label
+
+
+#: valid arguments of each limit formula that takes integer or real arguments
+NUMBERS = {
+    f_w: dict(n=3, m=3, w=1),
+    hypergeom_pmf: dict(n=3, m=3, w=1),
+    mu_nw: ARGUMENTS[mu_nw],
+    sigma2_nw: ARGUMENTS[sigma2_nw],
+    sigma2_hdmss: ARGUMENTS[sigma2_hdmss],
+    mixture_normal_cdf: ARGUMENTS[mixture_normal_cdf],
+}
+
+#: values that an argument of each numeric annotation refuses, by label
+NOT_NUMBERS = {
+    int: {"1.5": 1.5, "1.0": 1.0, '"3"': "3", "True": True, "None": None},
+    float: {'"1"': "1", "True": True, "None": None, "1+0j": 1 + 0j, "10**400": 10**400},
+}
+
+
+@pytest.mark.parametrize("fn, name", [
+    pytest.param(fn, name, id=f"{fn.__name__}.{name}")
+    for fn in NUMBERS for name, hint in typing.get_type_hints(fn).items()
+    if name != "return" and hint in NOT_NUMBERS
+])
+def test_number_argument_is_refused_by_name(fn, name):
+    fn(**NUMBERS[fn])
+    for label, value in NOT_NUMBERS[typing.get_type_hints(fn)[name]].items():
+        with pytest.raises(TypeError, match=rf"^{name} must ") as err:
+            fn(**{**NUMBERS[fn], name: value})
         assert "\n" not in str(err.value), label

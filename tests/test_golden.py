@@ -34,7 +34,7 @@ REALDATA_SHA256 = "e5b7460ae7ac1f9dcc3117198883840258c6f31dabf7022f2734529829986
 SAME_CLASS_SHA256 = "7f47f3b7470b424e65f78aae10a9faecb53120289fae7e0154ca724b0d0176fb"
 TEST_RESULT_SHA256 = "58136f5581d37c240a349f3453587b3a6ef558d798c4b4fd98334ea1112daf48"
 DECISIONS_SHA256 = "cba781a2de4bd6616fca0fff85de447b60d4d68fc07b3018ed7b06da9ab98719"
-POWER_LIMIT_SHA256 = "92d82d513e13b85744ef693e406b23f092a4ff3a017a0945b524e4400927c4f2"
+POWER_LIMIT_SHA256 = "8d0650dc56aa7a732ed61e0f9a1c50281975b896b13c7b0d0b689c9c75286a38"
 MULTI_CHUNK_SHA256 = "111e07fff294c2e0284106d542bbbb4c0394e2e8876f2967d9137a0c8ef986f3"
 
 
